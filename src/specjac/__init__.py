@@ -24,7 +24,6 @@ from .model import (
     TabularModel,
     TargetSampler,
     enumerate_sequence_distribution,
-    target_distribution,
 )
 from .oracle import (
     EmpiricalLaw,
@@ -89,7 +88,6 @@ __all__ = [
     "run_lossless_suite",
     "sample_gumbel_noise",
     "sample_independent",
-    "target_distribution",
     "tv_distance",
     "tv_to_exact",
 ]

@@ -22,9 +22,11 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .config import (
-    FIELD_TYPES,
+    FIELDS,
+    FORMAT_CHOICES,
     ExperimentConfig,
     build_config,
+    convert,
     load_config_file,
 )
 from .couplers import maximal_coupling_cost
@@ -47,10 +49,10 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 SWEEP_AXES = {
-    "L": ("decode.window", int),
-    "cfg_scale": ("sampling.cfg_scale", float),
-    "flatness": ("model.flatness", float),
-    "coupler": ("decode.coupler", str),
+    "L": "decode.window",
+    "cfg_scale": "sampling.cfg_scale",
+    "flatness": "model.flatness",
+    "coupler": "decode.coupler",
 }
 
 
@@ -58,10 +60,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="YAML experiment config")
     parser.add_argument("--seed", type=int, help="override run.seed")
     parser.add_argument("--out", metavar="PATH", help="override output.path")
-    parser.add_argument(
-        "--format", choices=("csv", "report"), help="override output.format"
-    )
-    for path in FIELD_TYPES:
+    parser.add_argument("--format", choices=FORMAT_CHOICES, help="override output.format")
+    for path in FIELDS:
         parser.add_argument(f"--{path}", dest=path, metavar="VALUE", help=argparse.SUPPRESS)
 
 
@@ -112,7 +112,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     data = load_config_file(args.config) if args.config else None
     overrides: dict[str, Any] = {}
     arg_map = vars(args)
-    for path in FIELD_TYPES:
+    for path in FIELDS:
         value = arg_map.get(path)
         if value is not None:
             overrides[path] = value
@@ -221,6 +221,24 @@ def _run_decoder(
     )
 
 
+def _aggregate(stats: Sequence[DecodeStats]) -> dict[str, float | None]:
+    """Means over trials; trials without a hamming or beta value are skipped."""
+
+    def mean(values) -> float | None:
+        values = [v for v in values if v is not None]
+        return float(np.mean(values)) if values else None
+
+    nfes = np.array([s.nfe for s in stats], dtype=np.float64)
+    return {
+        "nfe": float(nfes.mean()),
+        "nfe_std": float(nfes.std()),
+        "iterations": mean(s.iterations for s in stats),
+        "accepted": mean(s.mean_finalized_per_iteration() for s in stats),
+        "hamming": mean(s.mean_hamming() for s in stats),
+        "beta": mean(s.mean_beta() for s in stats),
+    }
+
+
 GENERATE_HEADER = (
     "row", "fingerprint", "master_seed", "coupler", "window", "cfg_scale",
     "flatness", "trials", "nfe", "nfe_std", "iterations",
@@ -249,25 +267,17 @@ def cmd_generate(config: ExperimentConfig) -> int:
             " ".join(str(t) for t in sequence),
         ))
 
-    nfes = np.array([s.nfe for s in all_stats], dtype=np.float64)
-    hammings = [s.mean_hamming() for s in all_stats]
-    hammings = [h for h in hammings if h is not None]
-    betas = [s.mean_beta() for s in all_stats]
-    betas = [b for b in betas if b is not None]
+    agg = _aggregate(all_stats)
     rows.append((
         "aggregate", fingerprint, config.run.seed, config.decode.coupler,
         config.decode.window, config.sampling.cfg_scale, config.model.flatness,
-        config.run.trials, float(nfes.mean()), float(nfes.std()),
-        float(np.mean([s.iterations for s in all_stats])),
-        _fmt(float(np.mean([s.mean_finalized_per_iteration() for s in all_stats]))),
-        float(np.mean(hammings)) if hammings else None,
-        float(np.mean(betas)) if betas else None,
-        None,
+        config.run.trials, agg["nfe"], agg["nfe_std"], agg["iterations"],
+        agg["accepted"], agg["hamming"], agg["beta"], None,
     ))
     write_csv(config.output.path, GENERATE_HEADER, rows)
     elapsed = time.perf_counter() - started
     print(
-        f"generate: {config.run.trials} trials, mean nfe {nfes.mean():.3f}, "
+        f"generate: {config.run.trials} trials, mean nfe {agg['nfe']:.3f}, "
         f"wall {elapsed:.2f}s (timing not written to output)",
         file=sys.stderr,
     )
@@ -275,13 +285,6 @@ def cmd_generate(config: ExperimentConfig) -> int:
 
 
 def cmd_verify_lossless(config: ExperimentConfig) -> int:
-    total = config.model.vocab_size ** config.decode.length
-    if total > 10**6:
-        raise BudgetError(
-            f"{config.model.vocab_size}^{config.decode.length} = {total} sequences "
-            "exceed the enumeration budget of 1e6; reduce model.vocab_size or "
-            "decode.length"
-        )
     model = TabularModel(config.model)
     started = time.perf_counter()
     reports = run_lossless_suite(
@@ -316,6 +319,10 @@ COUPLING_HEADER = (
 
 
 def cmd_coupling_stats(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    for flag, value, floor in (("--vocab", args.vocab, 2), ("--pairs", args.pairs, 1),
+                               ("--trials", args.trials, 1)):
+        if value < floor:
+            raise ConfigError(f"{flag}: must be >= {floor}")
     seed = config.run.seed
     master = RandomSource(seed)
     pairs = generate_pairs(
@@ -347,20 +354,19 @@ SWEEP_HEADER = (
 
 
 def _parse_axis_values(axis: str, raw_values: Sequence[str]) -> list:
-    _, converter = SWEEP_AXES[axis]
     tokens: list[str] = []
     for chunk in raw_values:
         tokens.extend(t for t in chunk.split(",") if t)
     if not tokens:
         raise ConfigError("sweep.values: at least one value required")
     try:
-        return [converter(t) for t in tokens]
+        return [convert(SWEEP_AXES[axis], t) for t in tokens]
     except ValueError as exc:
         raise ConfigError(f"sweep.values: {exc}") from exc
 
 
 def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    path, _ = SWEEP_AXES[args.axis]
+    path = SWEEP_AXES[args.axis]
     values = _parse_axis_values(args.axis, args.values)
     master = RandomSource(config.run.seed)
     rows = []
@@ -373,17 +379,12 @@ def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
         for k in range(varied.run.trials):
             _, stats = _run_decoder(varied, model, sampler, master.derive("trial", k))
             stats_list.append(stats)
-        nfes = np.array([s.nfe for s in stats_list], dtype=np.float64)
-        hammings = [h for h in (s.mean_hamming() for s in stats_list) if h is not None]
-        betas = [b for b in (s.mean_beta() for s in stats_list) if b is not None]
+        agg = _aggregate(stats_list)
         rows.append((
             args.axis, value, varied.fingerprint(), varied.run.seed,
             varied.decode.coupler, varied.decode.window,
             varied.sampling.cfg_scale, varied.model.flatness, varied.run.trials,
-            float(nfes.mean()), float(nfes.std()),
-            float(np.mean([s.mean_finalized_per_iteration() for s in stats_list])),
-            float(np.mean(hammings)) if hammings else None,
-            float(np.mean(betas)) if betas else None,
+            agg["nfe"], agg["nfe_std"], agg["accepted"], agg["hamming"], agg["beta"],
         ))
     write_csv(config.output.path, SWEEP_HEADER, rows)
     return EXIT_OK

@@ -4,14 +4,18 @@ One config drives every CLI command.  Field paths in the file and on the
 command line are identical (``--decode.window 8`` overrides the ``window``
 key of the ``decode`` section), so an experiment is fully reproducible from
 a single artifact plus the overrides recorded in its output files.
+
+The schema is the five section dataclasses: their fields give the dotted
+paths, their annotations the converters, their ``__post_init__`` the range
+and choice checks, and one desk-scale instance the defaults.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import asdict, dataclass, fields
+from typing import Any, get_args, get_type_hints
 
 import yaml
 
@@ -21,82 +25,6 @@ from .model import ModelSpec, SamplingParams
 COUPLER_CHOICES = ("vanilla", "independent", "maximal", "gumbel")
 FORMAT_CHOICES = ("csv", "report")
 
-# Desk-scale defaults: a 1024-point exact law that enumerates in milliseconds
-# while Monte Carlo noise at 2e5 trials is small enough to detect a 5% cell
-# shift.
-DEFAULTS: dict[str, dict[str, Any]] = {
-    "model": {
-        "vocab_size": 4,
-        "context_order": 2,
-        "flatness": 2.0,
-        "seed": 11,
-        "cfg_seed": None,
-    },
-    "sampling": {
-        "temperature": 1.0,
-        "top_k": None,
-        "top_p": None,
-        "cfg_scale": 0.0,
-    },
-    "decode": {
-        "length": 5,
-        "window": 4,
-        "coupler": "maximal",
-        "redraft": False,
-    },
-    "run": {
-        "trials": 200000,
-        "seed": 1234,
-    },
-    "output": {
-        "format": "csv",
-        "path": None,
-    },
-}
-
-
-def _opt(converter):
-    def convert(value):
-        if value is None or (isinstance(value, str) and value.lower() in ("none", "null", "")):
-            return None
-        return converter(value)
-
-    return convert
-
-
-def _to_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        lowered = value.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
-# field path -> converter applied to file values and CLI override strings
-FIELD_TYPES = {
-    "model.vocab_size": int,
-    "model.context_order": int,
-    "model.flatness": float,
-    "model.seed": int,
-    "model.cfg_seed": _opt(int),
-    "sampling.temperature": float,
-    "sampling.top_k": _opt(int),
-    "sampling.top_p": _opt(float),
-    "sampling.cfg_scale": float,
-    "decode.length": int,
-    "decode.window": int,
-    "decode.coupler": str,
-    "decode.redraft": _to_bool,
-    "run.trials": int,
-    "run.seed": int,
-    "output.format": str,
-    "output.path": _opt(str),
-}
-
 
 @dataclass(frozen=True)
 class DecodeConfig:
@@ -105,17 +33,33 @@ class DecodeConfig:
     coupler: str = "maximal"
     redraft: bool = False
 
+    def __post_init__(self) -> None:
+        if self.length < 1:
+            raise ValueError("length: must be >= 1")
+        if self.window < 1:
+            raise ValueError("window: must be >= 1")
+        if self.coupler not in COUPLER_CHOICES:
+            raise ValueError(f"coupler: must be one of {', '.join(COUPLER_CHOICES)}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
     trials: int = 200000
     seed: int = 1234
 
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError("trials: must be >= 1")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
     format: str = "csv"
     path: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.format not in FORMAT_CHOICES:
+            raise ValueError(f"format: must be one of {', '.join(FORMAT_CHOICES)}")
 
 
 @dataclass(frozen=True)
@@ -128,56 +72,78 @@ class ExperimentConfig:
 
     def fingerprint(self) -> str:
         """Hash of every semantically meaningful field (output routing excluded)."""
-        payload = {
-            "model": asdict(self.model),
-            "sampling": asdict(self.sampling),
-            "decode": asdict(self.decode),
-            "run": asdict(self.run),
-        }
+        payload = asdict(self)
+        del payload["output"]
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
     def replace_field(self, path: str, value) -> "ExperimentConfig":
         """Return a copy with one dotted-path field replaced."""
-        data = config_to_dict(self)
-        section, key = _split_path(path)
-        data[section][key] = value
-        return build_config(data)
+        return build_config(asdict(self), {path: value})
 
 
-def config_to_dict(config: ExperimentConfig) -> dict[str, dict[str, Any]]:
-    return {
-        "model": asdict(config.model),
-        "sampling": asdict(config.sampling),
-        "decode": asdict(config.decode),
-        "run": asdict(config.run),
-        "output": asdict(config.output),
-    }
+# Desk-scale defaults: a 1024-point exact law that enumerates in milliseconds
+# while Monte Carlo noise at 2e5 trials is small enough to detect a 5% cell
+# shift.
+DEFAULTS: dict[str, dict[str, Any]] = asdict(ExperimentConfig(
+    ModelSpec(vocab_size=4, flatness=2.0, seed=11),
+    SamplingParams(),
+    DecodeConfig(),
+    RunConfig(),
+    OutputConfig(),
+))
+
+SECTIONS: dict[str, type] = get_type_hints(ExperimentConfig)
+
+# dotted field path -> annotated type, in declaration order
+FIELDS: dict[str, Any] = {
+    f"{section}.{f.name}": get_type_hints(cls)[f.name]
+    for section, cls in SECTIONS.items()
+    for f in fields(cls)
+}
+
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _split_path(path: str) -> tuple[str, str]:
-    parts = path.split(".")
-    if len(parts) != 2 or parts[0] not in DEFAULTS or parts[1] not in DEFAULTS[parts[0]]:
-        raise ConfigError(f"{path}: unknown configuration field")
-    return parts[0], parts[1]
+def convert(path: str, value):
+    """Convert a file value or override string to the type of field ``path``.
+
+    ``none``/``null``/empty strings mean None for optional fields.  Booleans
+    are accepted only by boolean fields, and integer fields reject floats
+    with a fractional part instead of truncating them.
+    """
+    hint = FIELDS[path]
+    if type(None) in get_args(hint):
+        if value is None or (isinstance(value, str) and value.lower() in ("none", "null", "")):
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    if hint is bool:
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, str) and value.lower() in _BOOL_WORDS:
+            return _BOOL_WORDS[value.lower()]
+        raise ValueError(f"expected a boolean, got {value!r}")
+    if isinstance(value, bool):
+        raise ValueError(f"expected {hint.__name__}, got {value!r}")
+    if hint is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return hint(value)
 
 
 def load_config_file(path: str) -> dict[str, dict[str, Any]]:
     """Parse a YAML config file into the nested-section dictionary."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
+        try:
+            data = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if data is None:
         return {}
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a mapping of sections")
-    for section, fields in data.items():
-        if section not in DEFAULTS:
-            raise ConfigError(f"{section}: unknown configuration section")
-        if not isinstance(fields, dict):
+    for section, values in data.items():
+        if not isinstance(values, dict):
             raise ConfigError(f"{section}: section must be a mapping")
-        for key in fields:
-            if key not in DEFAULTS[section]:
-                raise ConfigError(f"{section}.{key}: unknown configuration field")
     return data
 
 
@@ -188,76 +154,31 @@ def build_config(
     """Merge defaults, file data, and dotted-path overrides into a config.
 
     Raises :class:`ConfigError` naming the offending field path on any
-    invalid value.
+    unknown field or invalid value.
     """
-    merged: dict[str, dict[str, Any]] = {
-        section: dict(fields) for section, fields in DEFAULTS.items()
-    }
-    if data:
-        for section, fields in data.items():
-            for key, value in fields.items():
-                merged[section][key] = value
-    if overrides:
-        for path, value in overrides.items():
-            section, key = _split_path(path)
-            merged[section][key] = value
-
-    converted: dict[str, dict[str, Any]] = {s: {} for s in merged}
-    for path, converter in FIELD_TYPES.items():
+    merged = {section: dict(values) for section, values in DEFAULTS.items()}
+    updates = [
+        (f"{section}.{key}", value)
+        for section, values in (data or {}).items()
+        for key, value in values.items()
+    ]
+    for path, value in updates + list((overrides or {}).items()):
+        if path not in FIELDS:
+            raise ConfigError(f"{path}: unknown configuration field")
         section, key = path.split(".")
         try:
-            converted[section][key] = converter(merged[section][key])
+            merged[section][key] = convert(path, value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
-    _validate(converted)
-
-    try:
-        model = ModelSpec(**converted["model"])
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    try:
-        sampling = SamplingParams(**converted["sampling"])
-    except ValueError as exc:
-        raise ConfigError(f"sampling: {exc}") from exc
-    return ExperimentConfig(
-        model=model,
-        sampling=sampling,
-        decode=DecodeConfig(**converted["decode"]),
-        run=RunConfig(**converted["run"]),
-        output=OutputConfig(**converted["output"]),
-    )
-
-
-def _validate(data: dict[str, dict[str, Any]]) -> None:
-    model = data["model"]
-    sampling = data["sampling"]
-    decode = data["decode"]
-    run = data["run"]
-    output = data["output"]
-    if model["vocab_size"] < 2:
-        raise ConfigError("model.vocab_size: must be >= 2")
-    if model["flatness"] <= 0:
-        raise ConfigError("model.flatness: must be positive")
-    if model["context_order"] < 0:
-        raise ConfigError("model.context_order: must be >= 0")
-    if sampling["temperature"] <= 0:
-        raise ConfigError("sampling.temperature: must be positive")
-    if sampling["top_k"] is not None and not 1 <= sampling["top_k"] <= model["vocab_size"]:
+    built = {}
+    for section, cls in SECTIONS.items():
+        try:
+            built[section] = cls(**merged[section])
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{exc}") from exc
+    config = ExperimentConfig(**built)
+    top_k = config.sampling.top_k
+    if top_k is not None and top_k > config.model.vocab_size:
         raise ConfigError("sampling.top_k: must be in [1, model.vocab_size]")
-    if sampling["top_p"] is not None and not 0.0 < sampling["top_p"] <= 1.0:
-        raise ConfigError("sampling.top_p: must be in (0, 1]")
-    if sampling["cfg_scale"] < 0:
-        raise ConfigError("sampling.cfg_scale: must be >= 0")
-    if decode["length"] < 1:
-        raise ConfigError("decode.length: must be >= 1")
-    if decode["window"] < 1:
-        raise ConfigError("decode.window: must be >= 1")
-    if decode["coupler"] not in COUPLER_CHOICES:
-        raise ConfigError(
-            f"decode.coupler: must be one of {', '.join(COUPLER_CHOICES)}"
-        )
-    if run["trials"] < 1:
-        raise ConfigError("run.trials: must be >= 1")
-    if output["format"] not in FORMAT_CHOICES:
-        raise ConfigError(f"output.format: must be one of {', '.join(FORMAT_CHOICES)}")
+    return config

@@ -118,7 +118,6 @@ class DecodeState:
         self.slots: dict[int, _Slot] = {}
         self.window: list[int] = []
         self.evaluated: list[Categorical] = []
-        self.iteration = 0
         self.stats = stats
 
 
@@ -228,7 +227,6 @@ def decode_sjd(
         width = min(window, n - start)
         positions = list(range(start, start + width))
         state.window = positions
-        state.iteration = t
 
         # Drafting.  Fresh positions sample independently from the uniform
         # initializer; surviving positions re-draw through the coupler;

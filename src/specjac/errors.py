@@ -13,9 +13,5 @@ class BudgetError(ValueError):
     """An exact-enumeration request exceeds the configured size budget."""
 
 
-class LengthError(ValueError):
-    """A token prefix exceeds the model's maximum sequence length."""
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""

@@ -11,18 +11,18 @@ decoders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-import numpy as np
-from scipy.special import ndtri
-
-from .errors import BudgetError, LengthError
+from .errors import BudgetError
 from .prob import Categorical, Logits, apply_processors, mix_cfg
 from .rng import RandomSource
 
 # Context padding symbol for positions closer to the sequence start than the
 # model order; never a valid token id.
 BOS = -1
+
+# Largest number of sequences ``enumerate_sequence_distribution`` will list.
+ENUMERATION_BUDGET = 10**6
 
 TokenSequence = tuple[int, ...]
 
@@ -38,13 +38,13 @@ class SamplingParams:
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise ValueError("temperature: must be positive")
         if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+            raise ValueError("top_k: must be >= 1")
         if self.top_p is not None and not 0.0 < self.top_p <= 1.0:
-            raise ValueError("top_p must be in (0, 1]")
+            raise ValueError("top_p: must be in (0, 1]")
         if self.cfg_scale < 0:
-            raise ValueError("cfg_scale must be >= 0")
+            raise ValueError("cfg_scale: must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,12 @@ class ModelSpec:
     cfg_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
+        if self.vocab_size < 2:
+            raise ValueError("vocab_size: must be >= 2")
         if self.context_order < 0:
-            raise ValueError("context_order must be >= 0")
+            raise ValueError("context_order: must be >= 0")
         if self.flatness <= 0:
-            raise ValueError("flatness must be positive")
+            raise ValueError("flatness: must be positive")
 
 
 class TabularModel:
@@ -81,14 +81,13 @@ class TabularModel:
     and cached; evaluation is pure and instances are safe to share.
     """
 
-    def __init__(self, spec: ModelSpec, max_len: int | None = None):
+    def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.max_len = max_len
         self._tables: dict[tuple, Logits] = {}
         cfg_seed = spec.cfg_seed if spec.cfg_seed is not None else spec.seed + 1
         self._roots = {
-            "cond": RandomSource(spec.seed).derive("logit-table"),
-            "uncond": RandomSource(cfg_seed).derive("logit-table"),
+            False: RandomSource(spec.seed).derive("logit-table"),
+            True: RandomSource(cfg_seed).derive("logit-table"),
         }
 
     @property
@@ -105,74 +104,29 @@ class TabularModel:
             tail = (BOS,) * (k - len(tail)) + tail
         return tail
 
-    def _check_len(self, length: int) -> None:
-        if self.max_len is not None and length >= self.max_len:
-            raise LengthError(f"prefix length {length} exceeds max length {self.max_len} - 1")
+    def logits(self, context: tuple[int, ...], uncond: bool = False) -> Logits:
+        """Stored logits of one context (a ``context_key``).
 
-    def _table(self, role: str, context: tuple[int, ...]) -> Logits:
-        key = (role, context)
+        ``uncond`` selects the unconditional variant used for guidance
+        mixing.
+        """
+        key = (uncond, context)
         logits = self._tables.get(key)
         if logits is None:
-            stream = self._roots[role].derive(*context) if context else self._roots[role].derive("root")
-            normals = ndtri(np.clip(stream.uniforms(self.spec.vocab_size), 2.0**-53, 1.0 - 2.0**-53))
-            logits = Logits(normals / self.spec.flatness)
+            root = self._roots[uncond]
+            stream = root.derive(*context) if context else root.derive("root")
+            logits = Logits(stream.normals(self.spec.vocab_size) / self.spec.flatness)
             self._tables[key] = logits
         return logits
 
-    def eval_next(self, prefix: Sequence[int]) -> Logits:
-        """Logits for the next position given ``prefix`` (conditional table)."""
-        self._check_len(len(prefix))
-        return self._table("cond", self.context_key(prefix))
-
-    def eval_next_uncond(self, prefix: Sequence[int]) -> Logits:
-        """Unconditional-variant logits used for guidance mixing."""
-        self._check_len(len(prefix))
-        return self._table("uncond", self.context_key(prefix))
-
-    def eval_window(
-        self, context: Sequence[int], window: Sequence[int]
-    ) -> list[Logits]:
-        """Logits for every window position in one parallel evaluation.
-
-        Position j is conditioned on ``context`` followed by window tokens
-        strictly before j, so the result equals ``len(window)`` sequential
-        ``eval_next`` calls on the corresponding prefixes.
-        """
-        if not window:
-            return []
-        self._check_len(len(context) + len(window) - 1)
-        out = []
-        key = self.context_key(context)
-        k = self.spec.context_order
-        for token in window:
-            out.append(self._table("cond", key))
-            if k > 0:
-                key = key[1:] + (token,)
-        return out
-
-
-def target_distribution(
-    model: TabularModel, prefix: Sequence[int], sampling: SamplingParams
-) -> Categorical:
-    """The target law at the next position: guidance mix plus processors.
-
-    This is the distribution every decoder must reproduce; losslessness is
-    defined relative to it.
-    """
-    logits = model.eval_next(prefix)
-    if sampling.cfg_scale > 0:
-        logits = mix_cfg(logits, model.eval_next_uncond(prefix), sampling.cfg_scale)
-    return apply_processors(
-        logits, sampling.temperature, sampling.top_k, sampling.top_p
-    )
-
 
 class TargetSampler:
-    """Caching wrapper around ``target_distribution``.
+    """The target law at every position: guidance mix plus processors.
 
-    Conditionals depend only on the order-k context, so one small cache keyed
-    by context serves every position of every trial that shares a model and
-    sampling configuration.
+    This is the distribution every decoder must reproduce; losslessness is
+    defined relative to it.  Conditionals depend only on the order-k context,
+    so one small cache keyed by context serves every position of every trial
+    that shares a model and sampling configuration.
     """
 
     def __init__(self, model: TabularModel, sampling: SamplingParams):
@@ -183,11 +137,11 @@ class TargetSampler:
     def _dist_for_key(self, key: tuple[int, ...]) -> Categorical:
         dist = self._cache.get(key)
         if dist is None:
-            logits = self.model._table("cond", key)
+            logits = self.model.logits(key)
             if self.sampling.cfg_scale > 0:
                 logits = mix_cfg(
                     logits,
-                    self.model._table("uncond", key),
+                    self.model.logits(key, uncond=True),
                     self.sampling.cfg_scale,
                 )
             dist = apply_processors(
@@ -201,15 +155,17 @@ class TargetSampler:
 
     def dist(self, prefix: Sequence[int]) -> Categorical:
         """Target law at the next position after ``prefix``."""
-        self.model._check_len(len(prefix))
         return self._dist_for_key(self.model.context_key(prefix))
 
     def window_dists(
         self, context: Sequence[int], window: Sequence[int]
     ) -> list[Categorical]:
-        """Target laws for all window positions (one parallel evaluation)."""
-        if window:
-            self.model._check_len(len(context) + len(window) - 1)
+        """Target laws for all window positions in one parallel evaluation.
+
+        Position j is conditioned on ``context`` followed by window tokens
+        strictly before j, so the result equals ``len(window)`` sequential
+        ``dist`` calls on the corresponding prefixes.
+        """
         out = []
         key = self.model.context_key(context)
         k = self.model.spec.context_order
@@ -224,19 +180,20 @@ def enumerate_sequence_distribution(
     model: TabularModel,
     sampling: SamplingParams,
     length: int,
-    budget: int = 10**6,
 ) -> dict[TokenSequence, float]:
     """Exact probability of every length-n sequence under sequential sampling.
 
-    Raises :class:`BudgetError` when ``vocab_size ** length`` exceeds the
-    enumeration budget.
+    Raises :class:`BudgetError` when ``vocab_size ** length`` exceeds
+    ``ENUMERATION_BUDGET``.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     total = model.vocab_size**length
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise BudgetError(
-            f"{model.vocab_size}^{length} = {total} sequences exceed budget {budget}"
+            f"{model.vocab_size}^{length} = {total} sequences exceed the "
+            f"enumeration budget of {ENUMERATION_BUDGET}; reduce the "
+            "vocabulary size or the length"
         )
     sampler = TargetSampler(model, sampling)
     law: dict[TokenSequence, float] = {}
@@ -252,35 +209,3 @@ def enumerate_sequence_distribution(
             if p > 0.0:
                 stack.append((prefix + (token,), mass * p))
     return law
-
-
-def marginalize_last(law: dict[TokenSequence, float]) -> dict[TokenSequence, float]:
-    """Sum out the final token of an enumerated law."""
-    out: dict[TokenSequence, float] = {}
-    for seq, mass in law.items():
-        out[seq[:-1]] = out.get(seq[:-1], 0.0) + mass
-    return out
-
-
-def mean_conditional_renyi2(
-    model: TabularModel, sampling: SamplingParams, contexts: Iterable[tuple[int, ...]]
-) -> float:
-    """Mean Renyi-2 entropy of the target conditionals over given contexts."""
-    from .prob import renyi2_entropy
-
-    sampler = TargetSampler(model, sampling)
-    values = [renyi2_entropy(sampler._dist_for_key(ctx)) for ctx in contexts]
-    return float(np.mean(values))
-
-
-def all_contexts(vocab_size: int, context_order: int) -> list[tuple[int, ...]]:
-    """Every reachable order-k context: BOS padding first, then real tokens."""
-    if context_order == 0:
-        return [()]
-    contexts: list[tuple[int, ...]] = []
-    for pad in range(context_order, -1, -1):
-        suffixes: list[tuple[int, ...]] = [()]
-        for _ in range(context_order - pad):
-            suffixes = [s + (t,) for s in suffixes for t in range(vocab_size)]
-        contexts.extend((BOS,) * pad + s for s in suffixes)
-    return contexts

@@ -66,12 +66,6 @@ class Categorical:
             raise ValueError("vocab_size must be >= 1")
         return cls(np.full(vocab_size, 1.0 / vocab_size))
 
-    @classmethod
-    def point_mass(cls, token: int, vocab_size: int) -> "Categorical":
-        probs = np.zeros(vocab_size)
-        probs[token] = 1.0
-        return cls(probs)
-
     @property
     def vocab_size(self) -> int:
         return self.probs.shape[0]

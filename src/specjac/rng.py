@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from scipy.special import ndtri
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -113,3 +114,11 @@ class RandomSource:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z = z ^ (z >> np.uint64(31))
         return (z >> np.uint64(11)).astype(np.float64) * _INV53
+
+    def normals(self, n: int) -> np.ndarray:
+        """``n`` standard normals: the inverse normal CDF of ``n`` uniforms.
+
+        The uniforms are clipped into [2**-53, 1 - 2**-53], so a zero draw
+        maps to a finite value.
+        """
+        return ndtri(np.clip(self.uniforms(n), 2.0**-53, 1.0 - 2.0**-53))

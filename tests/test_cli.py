@@ -70,6 +70,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="model.vocab_size"):
             build_config(overrides={"model.vocab_size": 1})
 
+    @pytest.mark.parametrize("data, overrides, field", [
+        ({"model": {"vocab_size": 4.7}}, None, "model.vocab_size"),
+        ({"model": {"seed": True}}, None, "model.seed"),
+        (None, {"run.trials": 2.9}, "run.trials"),
+        (None, {"model.cfg_seed": True}, "model.cfg_seed"),
+    ])
+    def test_int_fields_reject_fractions_and_booleans(self, data, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            build_config(data, overrides)
+
+    def test_malformed_yaml_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("model:\n  vocab_size: [4\n")
+        with pytest.raises(ConfigError, match="broken.yaml"):
+            load_config_file(str(path))
+        assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
+        assert "broken.yaml" in capsys.readouterr().err
+
     def test_fingerprint_tracks_semantic_fields_only(self):
         base = build_config()
         assert base.fingerprint() == build_config().fingerprint()
@@ -202,6 +220,15 @@ class TestCouplingStats:
         assert main(argv + ["--out", str(a)]) == EXIT_OK
         assert main(argv + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--vocab", "1"), ("--vocab", "0"), ("--pairs", "0"), ("--pairs", "-3"), ("--trials", "0"),
+    ])
+    def test_out_of_range_flags_exit_2(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "pairs.csv"
+        assert main(["coupling-stats", flag, value, "--out", str(out)]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_identical_pairs_degenerate_columns(self, tmp_path):
         # sharpness 0 makes the even (independent) pairs identical uniforms

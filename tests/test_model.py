@@ -1,41 +1,40 @@
 """Tabular model: Markov structure, parallel evaluation, exact enumeration."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from specjac.errors import BudgetError, LengthError
+from specjac.errors import BudgetError
 from specjac.model import (
     BOS,
     ModelSpec,
     SamplingParams,
     TabularModel,
     TargetSampler,
-    all_contexts,
     enumerate_sequence_distribution,
-    marginalize_last,
-    mean_conditional_renyi2,
-    target_distribution,
 )
-from specjac.prob import apply_processors, mix_cfg, softmax
+from specjac.prob import Logits, apply_processors, mix_cfg, renyi2_entropy, softmax
 
 SPEC = ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=11)
 
 
 class TestEvalNext:
+    """Next-position logits: ``TabularModel.logits`` of a ``context_key``."""
+
     def test_deterministic_across_calls_and_instances(self):
         a = TabularModel(SPEC)
         b = TabularModel(SPEC)
-        assert np.array_equal(a.eval_next([]).values, a.eval_next([]).values)
-        assert np.array_equal(a.eval_next([1, 2]).values, b.eval_next([1, 2]).values)
+        assert np.array_equal(a.logits((BOS, BOS)).values, a.logits((BOS, BOS)).values)
+        assert np.array_equal(a.logits((1, 2)).values, b.logits((1, 2)).values)
 
     def test_markov_property(self):
-        model = TabularModel(SPEC)
-        base = model.eval_next([3, 1, 2]).values
-        same_tail = model.eval_next([0, 0, 0, 1, 2]).values
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
+        base = sampler.dist([3, 1, 2]).probs
+        same_tail = sampler.dist([0, 0, 0, 1, 2]).probs
         assert np.array_equal(base, same_tail)
-        different_tail = model.eval_next([3, 1, 3]).values
+        different_tail = sampler.dist([3, 1, 3]).probs
         assert not np.array_equal(base, different_tail)
 
     def test_bos_padding_defines_short_prefixes(self):
@@ -43,79 +42,69 @@ class TestEvalNext:
         assert model.context_key([]) == (BOS, BOS)
         assert model.context_key([3]) == (BOS, 3)
         assert model.context_key([1, 2, 3]) == (2, 3)
-        assert model.eval_next([]).vocab_size == 4
+        assert model.logits(model.context_key([])).vocab_size == 4
 
     def test_flatness_limit_approaches_uniform(self):
         spec = ModelSpec(vocab_size=8, context_order=1, flatness=1e6, seed=0)
-        probs = softmax(TabularModel(spec).eval_next([2]).values)
+        probs = softmax(TabularModel(spec).logits((2,)).values)
         assert probs.max() - probs.min() < 1e-4
-
-    def test_length_error(self):
-        model = TabularModel(SPEC, max_len=3)
-        model.eval_next([0, 1])
-        with pytest.raises(LengthError):
-            model.eval_next([0, 1, 2])
 
     def test_distinct_seeds_give_distinct_tables(self):
         other = TabularModel(ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=12))
         model = TabularModel(SPEC)
-        assert not np.array_equal(model.eval_next([]).values, other.eval_next([]).values)
+        assert not np.array_equal(model.logits((BOS, BOS)).values, other.logits((BOS, BOS)).values)
 
 
 class TestEvalWindow:
-    def test_single_slot_equals_eval_next(self):
-        model = TabularModel(SPEC)
-        window = model.eval_window([1, 2], [3])
-        assert len(window) == 1
-        assert np.array_equal(window[0].values, model.eval_next([1, 2]).values)
+    """One parallel window evaluation: ``TargetSampler.window_dists``."""
 
-    def test_matches_sequential_eval_next_exactly(self):
-        model = TabularModel(SPEC)
-        context = [2, 0]
-        window = [1, 3, 0, 2, 1]
-        parallel = model.eval_window(context, window)
-        for j in range(len(window)):
-            sequential = model.eval_next(context + window[:j])
-            assert np.array_equal(parallel[j].values, sequential.values)
+    def test_single_slot_equals_eval_next(self):
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
+        window = sampler.window_dists([1, 2], [3])
+        assert len(window) == 1
+        assert np.array_equal(window[0].probs, sampler.dist([1, 2]).probs)
 
     def test_causality_under_suffix_permutation(self):
-        model = TabularModel(SPEC)
-        a = model.eval_window([0], [1, 2, 3, 0])
-        b = model.eval_window([0], [1, 2, 0, 3])
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
+        a = sampler.window_dists([0], [1, 2, 3, 0])
+        b = sampler.window_dists([0], [1, 2, 0, 3])
         for j in range(3):
-            assert np.array_equal(a[j].values, b[j].values)
+            assert np.array_equal(a[j].probs, b[j].probs)
 
     def test_empty_window(self):
-        assert TabularModel(SPEC).eval_window([0], []) == []
+        assert TargetSampler(TabularModel(SPEC), SamplingParams()).window_dists([0], []) == []
 
 
 class TestTargetDistribution:
+    """``TargetSampler.dist`` against the guidance + processor pipeline."""
+
     def test_plain_softmax_when_unprocessed(self):
         model = TabularModel(SPEC)
-        dist = target_distribution(model, [1], SamplingParams())
-        assert np.allclose(dist.probs, softmax(model.eval_next([1]).values))
+        dist = TargetSampler(model, SamplingParams()).dist([1])
+        assert np.allclose(dist.probs, softmax(model.logits((BOS, 1)).values))
 
     def test_greedy_limit_is_point_mass(self):
         model = TabularModel(SPEC)
-        dist = target_distribution(model, [1], SamplingParams(top_k=1))
+        dist = TargetSampler(model, SamplingParams(top_k=1)).dist([1])
         assert np.count_nonzero(dist.probs) == 1
-        assert dist.probs[np.argmax(model.eval_next([1]).values)] == 1.0
+        assert dist.probs[np.argmax(model.logits((BOS, 1)).values)] == 1.0
 
     def test_guided_mix_with_zero_unconditional_sharpens(self, monkeypatch):
         model = TabularModel(SPEC)
-        zero = model.eval_next([0])  # shape template
+        stored = model.logits
         monkeypatch.setattr(
-            model, "eval_next_uncond", lambda prefix: type(zero)(np.zeros(4))
+            model, "logits",
+            lambda context, uncond=False: Logits(np.zeros(4)) if uncond else stored(context),
         )
-        dist = target_distribution(model, [0], SamplingParams(cfg_scale=3.0))
-        assert np.allclose(dist.probs, softmax(4.0 * model.eval_next([0]).values))
+        dist = TargetSampler(model, SamplingParams(cfg_scale=3.0)).dist([0])
+        assert np.allclose(dist.probs, softmax(4.0 * stored((BOS, 0)).values))
 
     def test_composition_matches_manual_pipeline(self):
         spec = ModelSpec(vocab_size=6, context_order=1, flatness=1.0, seed=3)
         model = TabularModel(spec)
         sampling = SamplingParams(temperature=0.7, top_k=4, top_p=0.9, cfg_scale=2.5)
-        dist = target_distribution(model, [2], sampling)
-        mixed = mix_cfg(model.eval_next([2]), model.eval_next_uncond([2]), 2.5)
+        dist = TargetSampler(model, sampling).dist([2])
+        mixed = mix_cfg(model.logits((2,)), model.logits((2,), uncond=True), 2.5)
         manual = apply_processors(mixed, 0.7, 4, 0.9)
         assert np.allclose(dist.probs, manual.probs)
 
@@ -123,29 +112,29 @@ class TestTargetDistribution:
         model = TabularModel(SPEC)
         shadow = TabularModel(ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=12))
         assert np.array_equal(
-            model.eval_next_uncond([1, 2]).values, shadow.eval_next([1, 2]).values
+            model.logits((1, 2), uncond=True).values, shadow.logits((1, 2)).values
         )
 
 
 class TestTargetSampler:
     def test_matches_target_distribution(self):
         model = TabularModel(SPEC)
-        sampling = SamplingParams(temperature=1.3, top_k=3)
+        sampling = SamplingParams(temperature=1.3, top_k=3, cfg_scale=1.5)
         sampler = TargetSampler(model, sampling)
         for prefix in ([], [1], [3, 2], [0, 1, 2, 3]):
-            assert np.array_equal(
-                sampler.dist(prefix).probs,
-                target_distribution(model, prefix, sampling).probs,
+            k = model.context_key(prefix)
+            expected = apply_processors(
+                mix_cfg(model.logits(k), model.logits(k, uncond=True), 1.5), 1.3, 3, None
             )
+            assert np.array_equal(sampler.dist(prefix).probs, expected.probs)
 
     def test_window_matches_sequential(self):
-        model = TabularModel(SPEC)
-        sampler = TargetSampler(model, SamplingParams())
-        context = [1, 0]
-        window = [2, 2, 3]
-        dists = sampler.window_dists(context, window)
-        for j, dist in enumerate(dists):
-            assert np.array_equal(dist.probs, sampler.dist(context + window[:j]).probs)
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
+        for context, window in (([1, 0], [2, 2, 3]), ([2, 0], [1, 3, 0, 2, 1])):
+            dists = sampler.window_dists(context, window)
+            assert len(dists) == len(window)
+            for j, dist in enumerate(dists):
+                assert np.array_equal(dist.probs, sampler.dist(context + window[:j]).probs)
 
     def test_cache_returns_same_object(self):
         sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
@@ -157,7 +146,7 @@ class TestEnumerate:
         model = TabularModel(SPEC)
         sampling = SamplingParams()
         law = enumerate_sequence_distribution(model, sampling, 1)
-        dist = target_distribution(model, [], sampling)
+        dist = TargetSampler(model, sampling).dist([])
         for token in range(4):
             assert law[(token,)] == pytest.approx(float(dist.probs[token]), abs=1e-15)
 
@@ -167,9 +156,10 @@ class TestEnumerate:
         sampling = SamplingParams()
         law = enumerate_sequence_distribution(model, sampling, 2)
         assert len(law) == 4
-        first = target_distribution(model, [], sampling)
+        sampler = TargetSampler(model, sampling)
+        first = sampler.dist([])
         for a in range(2):
-            cond = target_distribution(model, [a], sampling)
+            cond = sampler.dist([a])
             for b in range(2):
                 expected = float(first.probs[a]) * float(cond.probs[b])
                 assert law[(a, b)] == pytest.approx(expected, abs=1e-15)
@@ -184,45 +174,36 @@ class TestEnumerate:
         sampling = SamplingParams(top_k=3)
         law_n = enumerate_sequence_distribution(model, sampling, 4)
         law_m = enumerate_sequence_distribution(model, sampling, 3)
-        reduced = marginalize_last(law_n)
+        reduced: dict = {}
+        for seq, mass in law_n.items():
+            reduced[seq[:-1]] = reduced.get(seq[:-1], 0.0) + mass
         assert set(reduced) == set(law_m)
         for seq, mass in law_m.items():
             assert reduced[seq] == pytest.approx(mass, abs=1e-9)
 
     def test_budget_error(self):
-        with pytest.raises(BudgetError):
-            enumerate_sequence_distribution(
-                TabularModel(SPEC), SamplingParams(), 13, budget=10**6
-            )
+        with pytest.raises(BudgetError, match="reduce the vocabulary size or the length"):
+            enumerate_sequence_distribution(TabularModel(SPEC), SamplingParams(), 13)
 
 
 class TestFlatnessEntropy:
     def test_mean_renyi2_weakly_increases_with_flatness(self):
-        contexts = all_contexts(4, 2)
+        # prefixes of length 0..2 reach every order-2 context, BOS-padded ones included
+        prefixes = [p for n in range(3) for p in itertools.product(range(4), repeat=n)]
         means = []
         for flatness in (0.5, 1.0, 4.0, 16.0):
             spec = ModelSpec(vocab_size=4, context_order=2, flatness=flatness, seed=7)
-            means.append(
-                mean_conditional_renyi2(TabularModel(spec), SamplingParams(), contexts)
-            )
+            sampler = TargetSampler(TabularModel(spec), SamplingParams())
+            means.append(np.mean([renyi2_entropy(sampler.dist(p)) for p in prefixes]))
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
         assert means[-1] <= math.log(4) + 1e-12
 
 
 class TestModelSpecValidation:
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            ModelSpec(vocab_size=0)
+        with pytest.raises(ValueError, match="vocab_size"):
+            ModelSpec(vocab_size=1)
         with pytest.raises(ValueError):
             ModelSpec(vocab_size=4, flatness=0.0)
         with pytest.raises(ValueError):
             ModelSpec(vocab_size=4, context_order=-1)
-
-
-def test_all_contexts_counts():
-    # order-2 contexts over vocab v: v^2 full, v with one pad, 1 with two pads
-    contexts = all_contexts(3, 2)
-    assert len(contexts) == 9 + 3 + 1
-    assert (BOS, BOS) in contexts
-    assert (BOS, 2) in contexts
-    assert (2, 1) in contexts

@@ -48,7 +48,7 @@ class TestCategorical:
             c.probs[0] = 1.0
 
     def test_point_mass_and_uniform(self):
-        assert Categorical.point_mass(2, 4).probs[2] == 1.0
+        assert Categorical([0, 0, 1, 0]).probs[2] == 1.0
         assert np.allclose(Categorical.uniform(4).probs, 0.25)
 
 
