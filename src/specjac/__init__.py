@@ -17,7 +17,8 @@ from .couplers import (
     sample_gumbel_noise,
     sample_independent,
 )
-from .decoder import CouplerKind, DecodeStats, decode_sjd, decode_vanilla
+from .decoder import (CouplerKind, DecodeStats, decode_sjd, decode_trials, decode_vanilla,
+                      trial_keys)
 from .model import (
     ModelSpec,
     SamplingParams,
@@ -73,6 +74,7 @@ __all__ = [
     "collect",
     "coupling_bound_sweep",
     "decode_sjd",
+    "decode_trials",
     "decode_vanilla",
     "enumerate_sequence_distribution",
     "gof_test",
@@ -89,5 +91,6 @@ __all__ = [
     "sample_gumbel_noise",
     "sample_independent",
     "tv_distance",
+    "trial_keys",
     "tv_to_exact",
 ]

@@ -14,10 +14,12 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import os
 import sys
 import time
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -30,9 +32,9 @@ from .config import (
     load_config_file,
 )
 from .couplers import maximal_coupling_cost
-from .decoder import CouplerKind, DecodeStats, decode_sjd, decode_vanilla
+from .decoder import CouplerKind, DecodeStats, decode_trials, trial_keys
 from .errors import BudgetError, ConfigError
-from .model import TabularModel, TargetSampler, TokenSequence
+from .model import TabularModel, TargetSampler
 from .oracle import (
     TestReport,
     estimate_gumbel_collision,
@@ -140,6 +142,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write(path: str | None, emit: Callable[[TextIO], None]) -> None:
+    """Run ``emit`` on stdout, or on ``path`` all or nothing: a temporary
+    file beside the (symlink-resolved) target replaces it once ``emit``
+    returns, and is removed on an error, leaving the target as it was.
+    A device or pipe cannot be replaced and is written in place."""
+    if path is None:
+        emit(sys.stdout)
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            emit(handle)
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as handle:
+            emit(handle)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     def emit(handle) -> None:
         writer = csv.writer(handle, lineterminator="\n")
@@ -147,11 +173,7 @@ def write_csv(path: str | None, header: Sequence[str], rows: Iterable[Sequence])
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
-    if path is None:
-        emit(sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
+    _write(path, emit)
 
 
 def write_reports(
@@ -186,11 +208,7 @@ def write_reports(
             handle.write(f"fingerprint={fingerprint}\n")
             handle.write("\n")
 
-    if path is None:
-        emit(sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            emit(handle)
+    _write(path, emit)
 
 
 # ---------------------------------------------------------------------------
@@ -198,26 +216,19 @@ def write_reports(
 # ---------------------------------------------------------------------------
 
 
-def _run_decoder(
-    config: ExperimentConfig,
-    model: TabularModel,
-    sampler: TargetSampler,
-    trial_rng: RandomSource,
-) -> tuple[TokenSequence, DecodeStats]:
+def _decode_all(
+    config: ExperimentConfig, sampler: TargetSampler, master: RandomSource
+) -> tuple[np.ndarray, list[DecodeStats]]:
+    """Decode every trial of ``config`` in one engine call."""
     decode = config.decode
-    if decode.coupler == "vanilla":
-        return decode_vanilla(
-            model, config.sampling, decode.length, trial_rng, sampler=sampler
-        )
-    return decode_sjd(
-        model,
-        config.sampling,
+    coupler = None if decode.coupler == "vanilla" else CouplerKind(decode.coupler)
+    return decode_trials(
+        sampler,
         decode.length,
+        trial_keys(master, config.run.trials),
+        coupler,
         decode.window,
-        CouplerKind(decode.coupler),
-        trial_rng,
-        redraft=decode.redraft,
-        sampler=sampler,
+        decode.redraft,
     )
 
 
@@ -254,10 +265,8 @@ def cmd_generate(config: ExperimentConfig) -> int:
     started = time.perf_counter()
 
     rows = []
-    all_stats: list[DecodeStats] = []
-    for k in range(config.run.trials):
-        sequence, stats = _run_decoder(config, model, sampler, master.derive("trial", k))
-        all_stats.append(stats)
+    sequences, all_stats = _decode_all(config, sampler, master)
+    for k, (sequence, stats) in enumerate(zip(sequences.tolist(), all_stats)):
         rows.append((
             f"trial-{k:06d}", fingerprint, config.run.seed, config.decode.coupler,
             config.decode.window, config.sampling.cfg_scale, config.model.flatness,
@@ -374,12 +383,8 @@ def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
         varied = config.replace_field(path, value)
         model = TabularModel(varied.model)
         sampler = TargetSampler(model, varied.sampling)
-        stats_list = []
         # the k-th trial shares its master key across every sweep value
-        for k in range(varied.run.trials):
-            _, stats = _run_decoder(varied, model, sampler, master.derive("trial", k))
-            stats_list.append(stats)
-        agg = _aggregate(stats_list)
+        agg = _aggregate(_decode_all(varied, sampler, master)[1])
         rows.append((
             args.axis, value, varied.fingerprint(), varied.run.seed,
             varied.decode.coupler, varied.decode.window,

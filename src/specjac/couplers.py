@@ -43,6 +43,27 @@ def inverse_cdf_sample(dist: Categorical, u: float) -> int:
     return idx
 
 
+def inverse_cdf_rows(
+    probs: np.ndarray, cdf: np.ndarray, rows: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Row-wise :func:`inverse_cdf_sample`: entry i maps ``u[i]`` through
+    row ``rows[i]`` of the ``probs`` / ``cdf`` tables.  The token is the
+    number of cumulative entries <= u, as bisection finds it; drift past
+    the last entry falls back the same way."""
+    idx = (cdf[rows] <= u[:, None]).sum(axis=1)
+    over = idx == cdf.shape[1]
+    if over.any():  # cumulative sum drifted below 1.0: last positive token
+        positive = probs[rows[over]] > 0.0
+        idx[over] = cdf.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
+    return idx
+
+
+def mrs_accepts(u: np.ndarray, p_x: np.ndarray, q_x: np.ndarray) -> np.ndarray:
+    """Accept tests of many :func:`mrs` steps with first uniforms ``u``.
+    Strict, as in ``mrs``: u == 0 rejects a token with p(x) == 0."""
+    return u < p_x / q_x
+
+
 def sample_independent(dist: Categorical, rng: RandomSource) -> int:
     """Draw one token from ``dist`` using a single uniform."""
     return inverse_cdf_sample(dist, rng.draw_uniform01())

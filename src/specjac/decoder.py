@@ -1,14 +1,15 @@
-"""Generation engines: vanilla autoregressive decoding and the speculative
-Jacobi engine with pluggable draft coupling.
+"""The decode engine: vanilla autoregressive decoding and speculative Jacobi
+decoding with pluggable draft coupling, for a batch of trials in lockstep.
 
-The Jacobi engine keeps a window of future draft tokens.  Each iteration
+Jacobi decoding keeps a window of future draft tokens.  Each iteration
 re-drafts the window from the latest evaluated distributions (optionally
 coupled to the previous draft), evaluates the whole window in one model call,
 then verifies drafts in order with modified rejection sampling until the
 first rejection.  Token cost is measured as NFE: the number of sequential
 window evaluations.  For every coupler the law of the finalized sequence is
 identical to vanilla decoding; the couplers differ only in how fast drafts
-stabilize, and therefore in NFE.
+stabilize, and therefore in NFE.  Every trial draws from its own keyed
+streams, so a batch decodes each trial exactly as a one-trial call would.
 """
 
 from __future__ import annotations
@@ -17,24 +18,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
 
-from .couplers import gs_couple, mrs, sample_gumbel_noise, sample_independent
+from .couplers import gumbel_from_uniform, inverse_cdf_rows, mrs, mrs_accepts
 from .model import SamplingParams, TabularModel, TargetSampler, TokenSequence
-from .prob import Categorical, tv_distance
-from .rng import RandomSource, label_hash
+from .rng import RandomSource, derive_keys, uniforms_at
 
-_DRAFT = label_hash("draft")
-_VERIFY = label_hash("verify")
-_GUMBEL = label_hash("gumbel")
-
-_UNIFORM_CACHE: dict[int, Categorical] = {}
-
-
-def _uniform(vocab_size: int) -> Categorical:
-    dist = _UNIFORM_CACHE.get(vocab_size)
-    if dist is None:
-        dist = Categorical.uniform(vocab_size)
-        _UNIFORM_CACHE[vocab_size] = dist
-    return dist
+# Trials decoded in lockstep at a time: larger runs go in chunks, so the
+# engine's memory does not grow with the trial count.
+TRIAL_CHUNK = 1024
 
 
 class CouplerKind(Enum):
@@ -72,93 +62,246 @@ class DecodeStats:
         return [rec.finalized for rec in self.per_iteration]
 
     def mean_finalized_per_iteration(self) -> float:
-        if not self.per_iteration:
-            return 0.0
-        return self.total_tokens / len(self.per_iteration)
+        return self.total_tokens / len(self.per_iteration) if self.per_iteration else 0.0
 
     def mean_hamming(self) -> float | None:
         values = [rec.hamming for rec in self.per_iteration if rec.hamming is not None]
-        if not values:
-            return None
-        return float(np.mean(values))
+        return float(np.mean(values)) if values else None
 
     def mean_beta(self) -> float | None:
         values = [b for rec in self.per_iteration for b in rec.betas]
-        if not values:
-            return None
-        return float(np.mean(values))
+        return float(np.mean(values)) if values else None
 
 
-class _Slot:
-    """State of one window position.
+def record_beta(new_probs: np.ndarray, draft_probs: np.ndarray) -> np.ndarray:
+    """Analytic acceptance rates of the imminent verify step: row i is
+    1 - TV(just-evaluated law, law the draft was drawn from).  The engine
+    scores only slots whose draft law is a model evaluation, not the
+    uniform initializer."""
+    return 1.0 - 0.5 * np.abs(new_probs - draft_probs).sum(axis=1)
 
-    ``prev_dist``/``prev_token`` are present exactly when the position
-    survived the previous iteration's verify scan; only such positions are
-    re-drafted by the coupler.  ``model_dist`` records whether ``dist`` came
-    from a model evaluation (as opposed to the uniform initialization), which
-    gates acceptance-rate bookkeeping.
+
+def record_hamming(
+    tokens: np.ndarray, prev_tokens: np.ndarray, comparable: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial (row): draft tokens changed versus the previous iteration,
+    over the ``comparable`` slots (those with a previous draft); returns the
+    per-row (changed, compared) counts."""
+    changed = (comparable & (tokens != prev_tokens)).sum(axis=1)
+    return changed, comparable.sum(axis=1)
+
+
+def trial_keys(master: RandomSource, trials: int) -> np.ndarray:
+    """Stream keys of ``master.derive("trial", k)`` for k < ``trials``."""
+    return derive_keys(master.key, "trial", np.arange(trials))
+
+
+def decode_trials(
+    sampler: TargetSampler,
+    n: int,
+    keys: np.ndarray,
+    coupler: CouplerKind | None = None,
+    window: int = 1,
+    redraft: bool = False,
+    stats: bool = True,
+) -> tuple[np.ndarray, list[DecodeStats]]:
+    """Decode one length-``n`` sequence per trial key, all trials in lockstep.
+
+    ``keys[i]`` is the stream key of trial i's random source, and trial i
+    draws exactly what a one-key call on ``keys[i]`` draws.  ``coupler``
+    None selects vanilla decoding; otherwise speculative Jacobi decoding
+    with that draft coupler, ``window`` and rejection convention (see
+    :func:`decode_sjd`).  Returns the (trials, n) token matrix and, when
+    ``stats`` is true, one :class:`DecodeStats` per trial (else an empty
+    list).  Trials run in chunks of ``TRIAL_CHUNK``.
     """
-
-    __slots__ = ("token", "dist", "prev_token", "prev_dist", "noise", "model_dist")
-
-    def __init__(self, token: int, dist: Categorical):
-        self.token = token
-        self.dist = dist
-        self.prev_token: int | None = None
-        self.prev_dist: Categorical | None = None
-        self.noise: np.ndarray | None = None
-        self.model_dist = False
-
-
-class DecodeState:
-    """Jacobi window state: finalized prefix plus per-position slots."""
-
-    def __init__(self, stats: DecodeStats):
-        self.accepted: list[int] = []
-        self.slots: dict[int, _Slot] = {}
-        self.window: list[int] = []
-        self.evaluated: list[Categorical] = []
-        self.stats = stats
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    keys = np.asarray(keys, dtype=np.uint64)
+    tokens, all_stats = np.empty((len(keys), n), dtype=np.int64), []
+    for lo in range(0, len(keys), TRIAL_CHUNK):
+        chunk, part = keys[lo : lo + TRIAL_CHUNK], slice(lo, lo + TRIAL_CHUNK)
+        if coupler is None:
+            tokens[part], chunk_stats = _vanilla_chunk(sampler, n, chunk, stats)
+        else:
+            tokens[part], chunk_stats = _sjd_chunk(
+                sampler, n, window, coupler, chunk, redraft, stats
+            )
+        all_stats.extend(chunk_stats)
+    return tokens, all_stats
 
 
-def record_beta(state: DecodeState) -> dict[int, float]:
-    """Record analytic acceptance rates for the just-evaluated window.
+def _vanilla_chunk(sampler, n, keys, stats):
+    token_keys = derive_keys(keys, "vanilla")
+    ctx = np.full(len(keys), sampler.context(()))
+    out = np.empty((len(keys), n), dtype=np.int64)
+    for i in range(n):
+        rows, u = sampler.rows(ctx), uniforms_at(derive_keys(token_keys, i), 1)
+        out[:, i] = inverse_cdf_rows(sampler.probs, sampler.cdf, rows, u)
+        if i + 1 < n:
+            ctx = sampler.next_ctx(ctx, out[:, i])
+    return out, [
+        DecodeStats(n, n, [IterationRecord(1, None, 0) for _ in range(n)])
+        for _ in range(len(keys) if stats else 0)
+    ]
 
-    For each position whose draft distribution is itself a model evaluation,
-    the acceptance rate of the imminent verify step is 1 - TV(new, draft);
-    positions still carrying the uniform initializer are skipped (there is no
-    previous model distribution to compare against).
+
+def _sjd_chunk(sampler, n, window, coupler, keys, redraft, stats):
+    """Jacobi decoding of one chunk of trials in lockstep (shared iteration t).
+
+    Slot state is window-relative: column j of row i is position
+    ``start[i] + j`` of trial ``live[i]``; columns below ``made[i]`` hold
+    slots that survived earlier iterations.  ``drow``/``prow`` are table rows
+    of a slot's draft law and previous draft law (``prow`` -1: no previous
+    draft, not re-drafted).  Finished trials leave the arrays; the rest
+    shift left by their progress.
     """
-    betas: dict[int, float] = {}
-    for pos, new_dist in zip(state.window, state.evaluated):
-        slot = state.slots[pos]
-        if not slot.model_dist:
-            continue
-        beta = 1.0 - tv_distance(new_dist, slot.dist)
-        betas[pos] = beta
-        state.stats.beta_trajectories.setdefault(pos, []).append(beta)
-    return betas
+    count, vocab, uniform = len(keys), sampler.model.vocab_size, sampler.UNIFORM_ROW
+    cols = np.arange(window)
+    live = np.arange(count)
+    start, made = np.zeros(count, np.int64), np.zeros(count, np.int64)
+    ctx = np.full(count, sampler.context(()))
+    slots = np.zeros((4, count, window), dtype=np.int64)  # tok, ptok, drow, prow
+    slots[2], slots[3] = uniform, -1
+    tok, ptok, drow, prow = slots
+    # Gumbel noise per slot; other couplers keep a zero-width array
+    noise = np.zeros((count, window, vocab if coupler is CouplerKind.GUMBEL else 0))
+    keyring = np.stack([derive_keys(keys, label) for label in ("draft", "verify", "gumbel")], 1)
+    out = np.empty((count, n), dtype=np.int64)
+    records: list[list[IterationRecord]] = [[] for _ in range(count if stats else 0)]
+    trajectories: list[dict[int, list[float]]] = [{} for _ in range(count if stats else 0)]
+
+    t = 0
+    while len(live):
+        if t >= 4 * n + 64:  # stall guard; progress is guaranteed per convention
+            raise RuntimeError("decode_sjd failed to make progress")
+        width = np.minimum(window, n - start)
+        in_win = cols < width[:, None]
+        pos = start[:, None] + cols
+        dkeys, vkeys = derive_keys(keyring[:, :2, None], t, pos[:, None]).swapaxes(0, 1)
+
+        # Drafting.  Fresh slots sample independently from the uniform
+        # initializer; surviving slots re-draw through the coupler; redraft
+        # carry-overs (no previous draft) keep their verify-produced token.
+        fb, fj = np.nonzero(in_win & (cols >= made[:, None]))
+        drow[fb, fj], prow[fb, fj] = uniform, -1
+        tok[fb, fj] = inverse_cdf_rows(
+            sampler.probs, sampler.cdf, drow[fb, fj], uniforms_at(dkeys[fb, fj], 1)
+        )
+        if noise.shape[2]:
+            slot_keys = derive_keys(keyring[fb, 2], pos[fb, fj])[:, None]
+            draws = uniforms_at(slot_keys, np.arange(1, vocab + 1))
+            noise[fb, fj] = gumbel_from_uniform(draws)
+        redo = in_win & (prow >= 0)
+        rb, rj = np.nonzero(redo)
+        tok[rb, rj] = _redraft(sampler, coupler, drow[rb, rj], prow[rb, rj], ptok[rb, rj],
+                               dkeys[rb, rj], noise[rb, rj])
+
+        # Evaluate every window in one parallel model call per trial.
+        cid = np.zeros_like(tok)
+        cid[:, 0] = ctx
+        for j in range(1, int(width.max())):
+            reach = slice(None) if j < width.min() else width > j
+            cid[reach, j] = sampler.next_ctx(cid[reach, j - 1], tok[reach, j - 1])
+        wb, wj = np.nonzero(in_win)
+        ev = np.zeros_like(tok)
+        ev[wb, wj] = sampler.rows(cid[wb, wj])
+        probs = sampler.probs
+        if stats:
+            changed, compared = record_hamming(tok, ptok, redo)
+            sb, sj = np.nonzero(in_win & (drow != uniform))
+            betas = record_beta(probs[ev[sb, sj]], probs[drow[sb, sj]])
+
+        # Verify in order until the first rejection; one scalar residual
+        # draw per rejecting trial.
+        x = tok[wb, wj]
+        accept = np.ones_like(in_win)
+        accept[wb, wj] = mrs_accepts(
+            uniforms_at(vkeys[wb, wj], 1), probs[ev[wb, wj], x], probs[drow[wb, wj], x]
+        )
+        rejected = ~accept.all(axis=1)
+        stop = np.where(rejected, np.argmin(accept, axis=1), width)
+        xb = np.flatnonzero(rejected)
+        xj = stop[xb]
+        residual = _residuals(sampler, ev[xb, xj], drow[xb, xj], tok[xb, xj], vkeys[xb, xj])
+        final = tok.copy()
+        if redraft:
+            # the residual token becomes the slot's next draft, its law the
+            # new evaluation; it is accepted with certainty next iteration
+            done = stop
+            tok[xb, xj], drow[xb, xj], prow[xb, xj] = residual, ev[xb, xj], -1
+        else:
+            done = stop + rejected
+            final[xb, xj] = residual
+        ab, aj = np.nonzero(cols < done[:, None])
+        out[live[ab], start[ab] + aj] = final[ab, aj]
+
+        # Slide: survivors past the scan stop carry the new evaluation as
+        # their draft law and their current draft as previous data.
+        slide = in_win & (cols > stop[:, None])
+        ptok[slide], prow[slide], drow[slide] = tok[slide], drow[slide], ev[slide]
+
+        if stats:
+            _record(records, trajectories, live, start, done, changed, compared, sb, sj, betas)
+        start, made = start + done, width - done
+        gb = np.flatnonzero((done > 0) & (start < n))
+        ctx[gb] = sampler.next_ctx(cid[gb, done[gb] - 1], final[gb, done[gb] - 1])
+
+        keep = start < n
+        shift = np.minimum(cols + done[:, None], window - 1)[keep]
+        live, start, made, ctx, keyring = (a[keep] for a in (live, start, made, ctx, keyring))
+        tok, ptok, drow, prow = slots = np.take_along_axis(slots[:, keep], shift[None], axis=2)
+        if noise.shape[2]:
+            noise = np.take_along_axis(noise[keep], shift[:, :, None], axis=1)
+        t += 1
+
+    return out, [
+        DecodeStats(len(records[i]), n, records[i], trajectories[i])
+        for i in range(count if stats else 0)
+    ]
 
 
-def record_hamming(state: DecodeState) -> tuple[int | None, int]:
-    """Count draft tokens changed versus the previous iteration.
+def _redraft(sampler, coupler, rows, prev_rows, prev_tokens, keys, noise):
+    """New drafts of surviving slots through the coupler."""
+    probs = sampler.probs
+    if coupler is CouplerKind.INDEPENDENT:
+        return inverse_cdf_rows(probs, sampler.cdf, rows, uniforms_at(keys, 1))
+    if coupler is CouplerKind.GUMBEL:
+        with np.errstate(divide="ignore"):
+            return np.argmax(np.log(probs[rows]) + noise, axis=1)
+    # maximal: modified rejection sampling of the previous draft
+    drafts = prev_tokens.copy()
+    reject = ~mrs_accepts(
+        uniforms_at(keys, 1), probs[rows, prev_tokens], probs[prev_rows, prev_tokens]
+    )
+    drafts[reject] = _residuals(
+        sampler, rows[reject], prev_rows[reject], prev_tokens[reject], keys[reject]
+    )
+    return drafts
 
-    Only positions present in both windows (those with a previous draft) are
-    comparable; returns (changed, compared) with ``changed`` None when no
-    position is comparable.
-    """
-    changed = 0
-    compared = 0
-    for pos in state.window:
-        slot = state.slots[pos]
-        if slot.prev_token is None:
-            continue
-        compared += 1
-        if slot.token != slot.prev_token:
-            changed += 1
-    if compared == 0:
-        return None, 0
-    return changed, compared
+
+def _residuals(sampler, p_rows, q_rows, tokens, keys) -> np.ndarray:
+    """Outputs of rejecting :func:`mrs` steps, one scalar call each on the
+    slot's own stream (its first draw repeats the vectorised accept test)."""
+    return np.array([
+        mrs(sampler.categorical(p), sampler.categorical(q), x, RandomSource.from_key(k)).token
+        for p, q, x, k in zip(p_rows.tolist(), q_rows.tolist(), tokens.tolist(), keys.tolist())
+    ], dtype=np.int64)
+
+
+def _record(records, trajectories, live, start, done, changed, compared, sb, sj, betas):
+    """Append one IterationRecord per active trial and extend its beta
+    trajectories (betas arrive grouped by trial, window order within)."""
+    bounds = np.searchsorted(sb, np.arange(len(live) + 1)).tolist()
+    beta_list, beta_pos = betas.tolist(), (start[sb] + sj).tolist()
+    rows = zip(live.tolist(), done.tolist(), changed.tolist(), compared.tolist())
+    for i, (trial, fin, ch, cmp) in enumerate(rows):
+        trial_betas = beta_list[bounds[i] : bounds[i + 1]]
+        for position, beta in zip(beta_pos[bounds[i] : bounds[i + 1]], trial_betas):
+            trajectories[trial].setdefault(position, []).append(beta)
+        records[trial].append(IterationRecord(fin, ch if cmp else None, cmp, trial_betas))
 
 
 def decode_vanilla(
@@ -168,19 +311,15 @@ def decode_vanilla(
     rng: RandomSource,
     sampler: TargetSampler | None = None,
 ) -> tuple[TokenSequence, DecodeStats]:
-    """Sequential decoding: one model evaluation per emitted token."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sampler is None:
-        sampler = TargetSampler(model, sampling)
-    stats = DecodeStats(total_tokens=n)
-    tokens: list[int] = []
-    for i in range(n):
-        dist = sampler.dist(tokens)
-        stats.nfe += 1
-        tokens.append(sample_independent(dist, rng.derive("vanilla", i)))
-        stats.per_iteration.append(IterationRecord(finalized=1, hamming=None, compared=0))
-    return tuple(tokens), stats
+    """Sequential decoding: one model evaluation per emitted token.
+
+    Token i is the inverse-CDF draw of the first uniform of
+    ``rng.derive("vanilla", i)``.  A one-trial call of
+    :func:`decode_trials`.
+    """
+    sampler = sampler or TargetSampler(model, sampling)
+    tokens, stats = decode_trials(sampler, n, np.array([rng.key], dtype=np.uint64))
+    return tuple(tokens[0].tolist()), stats[0]
 
 
 def decode_sjd(
@@ -202,107 +341,10 @@ def decode_sjd(
     its context is already final).  Both conventions produce sequences
     distributed exactly as ``decode_vanilla``; the default finalizes at least
     one token per iteration so nfe <= n, while redraft admits zero-progress
-    iterations and guarantees only nfe <= 2n.
+    iterations and guarantees only nfe <= 2n.  A one-trial call of
+    :func:`decode_trials`.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if sampler is None:
-        sampler = TargetSampler(model, sampling)
-
-    vocab = model.vocab_size
-    uniform_init = _uniform(vocab)
-    stats = DecodeStats(total_tokens=n)
-    state = DecodeState(stats)
-    slots = state.slots
-    accepted = state.accepted
-    max_iterations = 4 * n + 64  # stall guard; progress is guaranteed per convention
-
-    t = 0
-    while len(accepted) < n:
-        if t >= max_iterations:
-            raise RuntimeError("decode_sjd failed to make progress")
-        start = len(accepted)
-        width = min(window, n - start)
-        positions = list(range(start, start + width))
-        state.window = positions
-
-        # Drafting.  Fresh positions sample independently from the uniform
-        # initializer; surviving positions re-draw through the coupler;
-        # redraft carry-overs (prev_* cleared) keep their verify-produced token.
-        for pos in positions:
-            slot = slots.get(pos)
-            if slot is None:
-                slot = _Slot(
-                    sample_independent(uniform_init, rng.derive(_DRAFT, t, pos)),
-                    uniform_init,
-                )
-                slots[pos] = slot
-                if coupler is CouplerKind.GUMBEL:
-                    slot.noise = sample_gumbel_noise(vocab, rng.derive(_GUMBEL, pos))
-            elif slot.prev_dist is not None:
-                if coupler is CouplerKind.INDEPENDENT:
-                    slot.token = sample_independent(slot.dist, rng.derive(_DRAFT, t, pos))
-                elif coupler is CouplerKind.MAXIMAL:
-                    slot.token = mrs(
-                        slot.dist, slot.prev_dist, slot.prev_token, rng.derive(_DRAFT, t, pos)
-                    ).token
-                else:
-                    slot.token, _ = gs_couple(slot.dist, slot.prev_dist, slot.noise)
-
-        hamming, compared = record_hamming(state)
-
-        # Evaluate the whole window in one parallel model call.
-        window_tokens = [slots[pos].token for pos in positions]
-        state.evaluated = sampler.window_dists(accepted, window_tokens)
-        stats.nfe += 1
-        betas = record_beta(state)
-
-        # Verify in order until the first rejection.
-        finalized = 0
-        rejected_idx: int | None = None
-        for idx, pos in enumerate(positions):
-            slot = slots[pos]
-            outcome = mrs(
-                state.evaluated[idx], slot.dist, slot.token, rng.derive(_VERIFY, t, pos)
-            )
-            if outcome.accepted:
-                accepted.append(slot.token)
-                del slots[pos]
-                finalized += 1
-                continue
-            if redraft:
-                slot.token = outcome.token
-                slot.dist = state.evaluated[idx]
-                slot.model_dist = True
-                slot.prev_token = None
-                slot.prev_dist = None
-            else:
-                accepted.append(outcome.token)
-                del slots[pos]
-                finalized += 1
-            rejected_idx = idx
-            break
-
-        # Slide: survivors past the scan stop carry the new evaluation as
-        # their draft distribution and their current draft as previous data.
-        carry_from = width if rejected_idx is None else rejected_idx + 1
-        for idx in range(carry_from, width):
-            slot = slots[positions[idx]]
-            slot.prev_token = slot.token
-            slot.prev_dist = slot.dist
-            slot.dist = state.evaluated[idx]
-            slot.model_dist = True
-
-        stats.per_iteration.append(
-            IterationRecord(
-                finalized=finalized,
-                hamming=hamming,
-                compared=compared,
-                betas=list(betas.values()),
-            )
-        )
-        t += 1
-
-    return tuple(accepted), stats
+    sampler = sampler or TargetSampler(model, sampling)
+    keys = np.array([rng.key], dtype=np.uint64)
+    tokens, stats = decode_trials(sampler, n, keys, coupler, window, redraft)
+    return tuple(tokens[0].tolist()), stats[0]

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import BudgetError
 from .prob import Categorical, Logits, apply_processors, mix_cfg
 from .rng import RandomSource
@@ -124,38 +126,86 @@ class TargetSampler:
     """The target law at every position: guidance mix plus processors.
 
     This is the distribution every decoder must reproduce; losslessness is
-    defined relative to it.  Conditionals depend only on the order-k context,
-    so one small cache keyed by context serves every position of every trial
-    that shares a model and sampling configuration.
+    defined relative to it.  It is a row table over context ids: an id names
+    one ``context_key``, ``next_ctx`` moves ids on by one token, and
+    ``rows`` maps ids to rows of ``probs`` / ``cdf``, built on first use.
+    Row ``UNIFORM_ROW`` is the uniform law (the Jacobi draft initializer).
+    One table serves every trial of a model and sampling configuration.
     """
+
+    UNIFORM_ROW = 0
 
     def __init__(self, model: TabularModel, sampling: SamplingParams):
         self.model = model
         self.sampling = sampling
-        self._cache: dict[tuple[int, ...], Categorical] = {}
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._keys: list[tuple[int, ...]] = []
+        self._next = np.full((16, model.vocab_size), -1, dtype=np.int32)  # id x token
+        self._row = np.full(16, -1)  # context id -> row, -1 until built
+        self.probs = np.empty((16, model.vocab_size))
+        self.cdf = np.empty_like(self.probs)
+        self._rows = 0
+        self._add_rows([Categorical.uniform(model.vocab_size)])
 
-    def _dist_for_key(self, key: tuple[int, ...]) -> Categorical:
-        dist = self._cache.get(key)
-        if dist is None:
-            logits = self.model.logits(key)
-            if self.sampling.cfg_scale > 0:
-                logits = mix_cfg(
-                    logits,
-                    self.model.logits(key, uncond=True),
-                    self.sampling.cfg_scale,
-                )
-            dist = apply_processors(
-                logits,
-                self.sampling.temperature,
-                self.sampling.top_k,
-                self.sampling.top_p,
-            )
-            self._cache[key] = dist
-        return dist
+    def _add_rows(self, dists: list[Categorical]) -> range:
+        new = range(self._rows, self._rows + len(dists))
+        while new.stop > len(self.probs):  # full: double the tables
+            self.probs = np.concatenate([self.probs, np.empty_like(self.probs)])
+            self.cdf = np.concatenate([self.cdf, np.empty_like(self.cdf)])
+        block = self.probs[new.start : new.stop]
+        block[:] = [dist.probs for dist in dists]
+        np.cumsum(block, axis=1, out=self.cdf[new.start : new.stop])
+        self._rows = new.stop
+        return new
+
+    def _intern(self, key: tuple[int, ...]) -> int:
+        cid = self._ids.get(key)
+        if cid is None:
+            cid = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+            if cid == len(self._row):  # full: double the tables
+                self._next = np.concatenate([self._next, np.full_like(self._next, -1)])
+                self._row = np.concatenate([self._row, np.full_like(self._row, -1)])
+        return cid
+
+    def context(self, prefix: Sequence[int]) -> int:
+        """Context id of the position after ``prefix``."""
+        return self._intern(self.model.context_key(prefix))
+
+    def next_ctx(self, ids: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """Context ids after appending ``tokens[i]`` to context ``ids[i]``."""
+        out = self._next[ids, tokens]
+        if out.size and out.min() < 0:
+            missing, order = out < 0, self.model.spec.context_order
+            for cid, token in zip(ids[missing].tolist(), tokens[missing].tolist()):
+                key = self._keys[cid][1:] + (token,) if order else ()
+                self._next[cid, token] = self._intern(key)
+            out = self._next[ids, tokens]
+        return out
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Row of the target law of each context id, built on first use."""
+        out = self._row[ids]
+        if out.size and out.min() < 0:
+            missing = np.unique(ids[out < 0])
+            self._row[missing] = self._add_rows([self._build(cid) for cid in missing.tolist()])
+            out = self._row[ids]
+        return out
+
+    def _build(self, cid: int) -> Categorical:
+        key, sampling = self._keys[cid], self.sampling
+        logits = self.model.logits(key)
+        if sampling.cfg_scale > 0:
+            logits = mix_cfg(logits, self.model.logits(key, uncond=True), sampling.cfg_scale)
+        return apply_processors(logits, sampling.temperature, sampling.top_k, sampling.top_p)
+
+    def categorical(self, row: int) -> Categorical:
+        """Row ``row`` as a :class:`Categorical` (a read-only view)."""
+        return Categorical._from_normalized(self.probs[row])
 
     def dist(self, prefix: Sequence[int]) -> Categorical:
         """Target law at the next position after ``prefix``."""
-        return self._dist_for_key(self.model.context_key(prefix))
+        return self.categorical(self.rows(np.array([self.context(prefix)]))[0])
 
     def window_dists(
         self, context: Sequence[int], window: Sequence[int]
@@ -166,14 +216,8 @@ class TargetSampler:
         strictly before j, so the result equals ``len(window)`` sequential
         ``dist`` calls on the corresponding prefixes.
         """
-        out = []
-        key = self.model.context_key(context)
-        k = self.model.spec.context_order
-        for token in window:
-            out.append(self._dist_for_key(key))
-            if k > 0:
-                key = key[1:] + (token,)
-        return out
+        ids = [self.context([*context, *window[:j]]) for j in range(len(window))]
+        return [self.categorical(row) for row in self.rows(np.array(ids, dtype=np.int64))]
 
 
 def enumerate_sequence_distribution(

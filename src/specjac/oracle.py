@@ -20,7 +20,7 @@ from scipy.stats import chi2 as chi2_dist
 from scipy.stats import pearsonr
 
 from .couplers import gumbel_from_uniform
-from .decoder import CouplerKind, DecodeStats, decode_sjd, decode_vanilla
+from .decoder import CouplerKind, DecodeStats, decode_trials, trial_keys
 from .model import (
     SamplingParams,
     TabularModel,
@@ -53,17 +53,16 @@ class TestReport:
 
 
 def collect(
-    decode_fn: Callable[[RandomSource], TokenSequence],
+    decode_fn: Callable[[np.ndarray], np.ndarray],
     trials: int,
     rng: RandomSource,
 ) -> EmpiricalLaw:
-    """Run ``decode_fn`` on ``trials`` independent substreams and count outputs."""
+    """Decode ``trials`` independent substreams in one call and count outputs:
+    ``decode_fn`` maps ``trial_keys(rng, trials)`` to the sequence matrix."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    counts: Counter[TokenSequence] = Counter()
-    for k in range(trials):
-        counts[decode_fn(rng.derive("trial", k))] += 1
-    return EmpiricalLaw(dict(counts), trials)
+    sequences = decode_fn(trial_keys(rng, trials))
+    return EmpiricalLaw(dict(Counter(map(tuple, sequences.tolist()))), trials)
 
 
 def tv_to_exact(law: EmpiricalLaw, exact: dict[TokenSequence, float]) -> float:
@@ -315,19 +314,19 @@ def coupling_bound_sweep(
 
 
 def hamming_nfe_correlation(
-    decode_fn: Callable[[RandomSource], DecodeStats],
+    decode_fn: Callable[[np.ndarray], Sequence[DecodeStats]],
     runs: int,
     rng: RandomSource,
     threshold: float = 0.3,
     name: str = "hamming-nfe-correlation",
 ) -> TestReport:
-    """Pearson correlation between per-run mean draft churn and per-run NFE."""
+    """Pearson correlation between per-run mean draft churn and per-run NFE;
+    ``decode_fn`` maps ``trial_keys(rng, runs)`` to one DecodeStats per run."""
     if runs < 100:
         raise ValueError("runs must be >= 100")
     hammings = []
     nfes = []
-    for k in range(runs):
-        stats = decode_fn(rng.derive("trial", k))
+    for stats in decode_fn(trial_keys(rng, runs)):
         mean_h = stats.mean_hamming()
         if mean_h is None:
             continue
@@ -376,7 +375,7 @@ def run_lossless_suite(
     reports: list[TestReport] = []
 
     vanilla_law = collect(
-        lambda r: decode_vanilla(model, sampling, n, r, sampler)[0],
+        lambda keys: decode_trials(sampler, n, keys, stats=False)[0],
         trials,
         rng.derive("collect", "vanilla"),
     )
@@ -399,9 +398,8 @@ def run_lossless_suite(
         for coupler in couplers:
             label = coupler.value + suffix
             law = collect(
-                lambda r: decode_sjd(
-                    model, sampling, n, window, coupler, r,
-                    redraft=redraft, sampler=sampler,
+                lambda keys: decode_trials(
+                    sampler, n, keys, coupler, window, redraft, stats=False
                 )[0],
                 trials,
                 rng.derive("collect", label),

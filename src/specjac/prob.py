@@ -35,9 +35,9 @@ class Categorical:
         arr = np.ascontiguousarray(probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("probs must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("probabilities must be finite")
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             raise ValueError("probabilities must be non-negative")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOLERANCE:
@@ -107,9 +107,9 @@ class Logits:
         arr = np.ascontiguousarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("values must be a non-empty 1-D vector")
-        if np.any(np.isnan(arr)) or np.any(np.isposinf(arr)):
+        if not (arr < np.inf).all():  # NaN or +inf
             raise ValueError("logits must be finite or -inf")
-        if not np.any(arr > -np.inf):
+        if not (arr > -np.inf).any():
             raise ValueError("at least one logit must be unmasked")
         arr.flags.writeable = False
         self.values = arr
@@ -184,10 +184,10 @@ def mix_cfg(cond: Logits, uncond: Logits, scale: float) -> Logits:
 
 def softmax(values: np.ndarray) -> np.ndarray:
     """Numerically stable softmax; -inf entries map to exactly zero."""
-    shifted = values - np.max(values)
+    shifted = values - values.max()
     with np.errstate(invalid="ignore"):
         expd = np.exp(shifted)
-    expd = np.where(np.isneginf(values), 0.0, expd)
+    expd = np.where(values == -np.inf, 0.0, expd)
     return expd / expd.sum()
 
 

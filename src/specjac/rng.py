@@ -47,14 +47,6 @@ def _component(part: int | str) -> int:
     raise TypeError(f"key components must be int or str, got {kind.__name__}")
 
 
-def label_hash(label: str) -> int:
-    """Precompute a string key component for hot derive loops.
-
-    ``rng.derive(label_hash(s), ...)`` is equivalent to ``rng.derive(s, ...)``.
-    """
-    return _component(label)
-
-
 class RandomSource:
     """Keyed uniform generator with derivable substreams.
 
@@ -87,10 +79,14 @@ class RandomSource:
         k = self._key
         for part in key_parts:
             k = _mix((k + _GOLDEN + _component(part)) & _MASK)
-        child = RandomSource.__new__(RandomSource)
-        child._key = k
-        child._count = 0
-        return child
+        return RandomSource.from_key(k)
+
+    @classmethod
+    def from_key(cls, key: int) -> "RandomSource":
+        """The source whose stream key is ``key``, with no draws consumed."""
+        source = cls.__new__(cls)
+        source._key, source._count = key & _MASK, 0
+        return source
 
     def draw_uniform01(self) -> float:
         """One uniform draw in [0, 1) with 53-bit resolution."""
@@ -109,10 +105,7 @@ class RandomSource:
             raise ValueError("n must be non-negative")
         steps = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        z = np.uint64(self._key) + steps * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = _mix_array(np.uint64(self._key) + steps * np.uint64(_GOLDEN))
         return (z >> np.uint64(11)).astype(np.float64) * _INV53
 
     def normals(self, n: int) -> np.ndarray:
@@ -122,3 +115,41 @@ class RandomSource:
         maps to a finite value.
         """
         return ndtri(np.clip(self.uniforms(n), 2.0**-53, 1.0 - 2.0**-53))
+
+
+# Keys and draws over uint64 arrays, entry for entry equal to the scalar
+# methods.  All arithmetic stays on arrays, where numpy wraps uint64 overflow
+# silently (numpy scalars would warn), as SplitMix64 requires.
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def derive_keys(keys, *key_parts) -> np.ndarray:
+    """Stream keys of ``RandomSource.from_key(k).derive(*key_parts)`` for
+    every key ``k`` in ``keys``.
+
+    A part is an int, a str, or an array of non-negative integers broadcast
+    against ``keys``; the result has the broadcast shape (at least 1-D).
+    """
+    k = np.array(keys, dtype=np.uint64, ndmin=1)
+    for part in key_parts:
+        if isinstance(part, np.ndarray):
+            k = _mix_array(k + np.uint64(_GOLDEN) + part.astype(np.uint64))
+        else:
+            k = _mix_array(k + np.uint64((_GOLDEN + _component(part)) & _MASK))
+    return k
+
+
+def uniforms_at(keys, counters) -> np.ndarray:
+    """Draw number ``counters`` (1-based) of the streams keyed by ``keys``.
+
+    ``uniforms_at(k, i)`` equals the i-th ``draw_uniform01`` of
+    ``RandomSource.from_key(k)``; ``keys`` and ``counters`` broadcast.
+    """
+    k = np.array(keys, dtype=np.uint64, ndmin=1)
+    z = _mix_array(k + np.asarray(counters, dtype=np.uint64) * np.uint64(_GOLDEN))
+    return (z >> np.uint64(11)).astype(np.float64) * _INV53

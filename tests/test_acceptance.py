@@ -14,7 +14,7 @@ from scipy.stats import ttest_rel
 import specjac.decoder as decoder_mod
 from specjac.cli import EXIT_OK, main
 from specjac.couplers import MrsOutcome, mrs, mrs_joint_distribution
-from specjac.decoder import CouplerKind, decode_sjd
+from specjac.decoder import CouplerKind, decode_trials, trial_keys
 from specjac.model import ModelSpec, SamplingParams, TabularModel, TargetSampler
 from specjac.oracle import (
     acceptance_rate_check,
@@ -50,16 +50,12 @@ def _verdict(num: int, name: str, passed: bool, detail: str) -> None:
 
 def _paired_nfe(model, sampling, n, window, couplers, runs, master):
     sampler = TargetSampler(model, sampling)
-    out = {c: [] for c in couplers}
-    for k in range(runs):
-        trial_key = ("trial", k)
-        for c in couplers:
-            _, stats = decode_sjd(
-                model, sampling, n, window, c, master.derive(*trial_key),
-                sampler=sampler,
-            )
-            out[c].append(stats.nfe)
-    return {c: np.array(v, dtype=np.float64) for c, v in out.items()}
+    keys = trial_keys(master, runs)  # run k decodes master.derive("trial", k)
+    return {
+        c: np.array([s.nfe for s in decode_trials(sampler, n, keys, c, window)[1]],
+                    dtype=np.float64)
+        for c in couplers
+    }
 
 
 def test_criterion_01_lossless_output_law():
@@ -249,10 +245,8 @@ def test_criterion_08_hamming_nfe_correlation():
     model = TabularModel(FLAT_MODEL)
     sampler = TargetSampler(model, SAMPLING)
 
-    def decode_fn(rng):
-        return decode_sjd(
-            model, SAMPLING, FLAT_N, 8, CouplerKind.INDEPENDENT, rng, sampler=sampler
-        )[1]
+    def decode_fn(keys):
+        return decode_trials(sampler, FLAT_N, keys, CouplerKind.INDEPENDENT, 8)[1]
 
     report = hamming_nfe_correlation(
         decode_fn, 300, RandomSource(MASTER_SEED).derive("hamming-nfe")
@@ -271,11 +265,7 @@ def test_criterion_09_beta_stabilization():
     pools = {}
     for coupler in (CouplerKind.MAXIMAL, CouplerKind.INDEPENDENT):
         betas = []
-        for k in range(100):
-            _, stats = decode_sjd(
-                model, SAMPLING, FLAT_N, 16, coupler, master.derive("trial", k),
-                sampler=sampler,
-            )
+        for stats in decode_trials(sampler, FLAT_N, trial_keys(master, 100), coupler, 16)[1]:
             for trajectory in stats.beta_trajectories.values():
                 betas.extend(trajectory)
         pools[coupler] = np.array(betas)

@@ -1,15 +1,19 @@
 """Configuration plumbing and the four CLI commands."""
 
 import csv
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from specjac.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from specjac.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, write_csv, write_reports
 from specjac.config import build_config, load_config_file
 from specjac.errors import ConfigError
+from specjac import oracle
 
 
 def _read_csv(path):
@@ -146,6 +150,72 @@ class TestGenerate:
             "generate", "--run.trials", "2", "--out", str(tmp_path / "no" / "dir.csv"),
         ])
         assert code == EXIT_IO
+
+
+class TestAtomicWrites:
+    """An output file is written whole or not at all."""
+
+    @staticmethod
+    def _rows_failing_after(count):
+        for i in range(count):
+            yield (i, float(i))
+        raise RuntimeError("row source failed")
+
+    @pytest.mark.parametrize("earlier", [None, b"earlier,content\n"])
+    def test_failed_csv_leaves_no_partial_file(self, tmp_path, earlier):
+        out = tmp_path / "rows.csv"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_csv(str(out), ("k", "v"), self._rows_failing_after(1000))
+        if earlier is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["rows.csv"])
+
+    def test_failed_report_leaves_earlier_content(self, tmp_path):
+        out = tmp_path / "reports.txt"
+        out.write_bytes(b"earlier\n")
+
+        class Broken:
+            name = "broken"
+
+            @property
+            def value(self):
+                raise RuntimeError("report failed")
+
+        good = oracle.TestReport("ok", 1.0, 0.5, True, 10)
+        with pytest.raises(RuntimeError, match="report failed"):
+            write_reports(str(out), [good, Broken()], 1, "fp", "report")
+        assert out.read_bytes() == b"earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["reports.txt"]
+
+    def test_symlink_target_is_replaced_not_the_link(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_bytes(b"old\n")
+        (tmp_path / "link.csv").symlink_to(real)
+        write_csv(str(tmp_path / "link.csv"), ("k",), [(1,)])
+        assert (tmp_path / "link.csv").is_symlink()
+        assert real.read_bytes() == b"k\n1\n"
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_csv(str(fifo), ("k",), [(1,)])
+        reader.join(timeout=10)
+        assert got == [b"k\n1\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_success_replaces_the_file(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        out.write_bytes(b"old\n")
+        write_csv(str(out), ("k",), [(1,), (2,)])
+        assert out.read_bytes() == b"k\n1\n2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
 class TestVerifyLossless:

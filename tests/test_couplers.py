@@ -10,9 +10,11 @@ from specjac.couplers import (
     MrsOutcome,
     gs_couple,
     gumbel_from_uniform,
+    inverse_cdf_rows,
     inverse_cdf_sample,
     maximal_coupling_cost,
     mrs,
+    mrs_accepts,
     mrs_joint_distribution,
     sample_gumbel_noise,
     sample_independent,
@@ -274,3 +276,33 @@ class TestMrsJointDistribution:
         d = Categorical.uniform(10)
         with pytest.raises(BudgetError):
             mrs_joint_distribution(d, d, max_vocab=8)
+
+
+class TestBatchedPrimitives:
+    def test_inverse_cdf_rows_drift_maps_to_last_positive_token(self):
+        # ten 0.1 entries sum to 0.9999999999999999; the last token is masked
+        dist = Categorical._from_normalized(np.array([0.1] * 10 + [0.0]))
+        cdf = dist.cdf()
+        assert cdf[-1] < 1.0
+        u = np.array([cdf[-1], np.nextafter(cdf[-1], 1.0), 0.0, 0.05])
+        got = inverse_cdf_rows(dist.probs[None], cdf[None], np.zeros(4, dtype=np.int64), u)
+        assert got.tolist() == [9, 9, 0, 0]
+        assert got.tolist() == [inverse_cdf_sample(dist, float(v)) for v in u]
+
+    def test_inverse_cdf_rows_never_draws_zero_probability_tokens(self):
+        probs = np.array([[0.0, 0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0]])
+        cdf = np.cumsum(probs, axis=1)
+        u = np.concatenate([[0.0, 0.5, np.nextafter(0.5, 0.0), 1.0 - 2.0**-53],
+                            RandomSource(3).uniforms(200)])
+        for row in (0, 1):
+            rows = np.full(u.size, row)
+            tokens = inverse_cdf_rows(probs, cdf, rows, u)
+            assert np.all(probs[row, tokens] > 0.0)
+            expected = [inverse_cdf_sample(Categorical(probs[row]), float(v)) for v in u]
+            assert tokens.tolist() == expected
+
+    def test_accept_is_strict_at_zero(self):
+        # u == 0 must reject a token with p(x) == 0, as mrs does
+        got = mrs_accepts(np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.2, 0.2]),
+                          np.array([0.5, 0.5, 0.4]))
+        assert got.tolist() == [False, True, False]

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from specjac.couplers import sample_independent
+import specjac.decoder as decoder_mod
+from specjac.couplers import inverse_cdf_rows
 from specjac.decoder import (
     CouplerKind,
-    DecodeState,
-    DecodeStats,
-    _Slot,
     decode_sjd,
+    decode_trials,
     decode_vanilla,
     record_beta,
     record_hamming,
+    trial_keys,
 )
 from specjac.model import ModelSpec, SamplingParams, TabularModel, TargetSampler
 from specjac.prob import Categorical
@@ -157,76 +157,105 @@ class TestCouplerOrderings:
         assert hams[CouplerKind.MAXIMAL] < hams[CouplerKind.INDEPENDENT]
 
 
-def _synthetic_state(slots: dict[int, _Slot], evaluated=None) -> DecodeState:
-    state = DecodeState(DecodeStats())
-    state.slots = slots
-    state.window = sorted(slots)
-    state.evaluated = evaluated or []
-    return state
+class TestLockstepBatch:
+    """The engine over B keys returns, per trial, exactly its one-key call."""
+
+    CASES = {
+        "V4-topk3": (SPEC, SamplingParams(top_k=3), 7, 4),
+        "V16-topk12": (FLAT_SPEC, SamplingParams(top_k=12), 24, 6),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize(
+        "coupler, redraft",
+        [(None, False)] + [(c, r) for c in CouplerKind for r in (False, True)],
+    )
+    def test_batch_equals_single_calls(self, case, coupler, redraft, monkeypatch):
+        # 11 trials in chunks of 4: every chunk boundary is crossed
+        monkeypatch.setattr(decoder_mod, "TRIAL_CHUNK", 4)
+        spec, sampling, n, window = self.CASES[case]
+        sampler = TargetSampler(TabularModel(spec), sampling)
+        keys = trial_keys(RandomSource(8), 11)
+        tokens, stats = decode_trials(sampler, n, keys, coupler, window, redraft)
+        assert tokens.shape == (11, n) and len(stats) == 11
+        for i in range(len(keys)):
+            one_tokens, one_stats = decode_trials(
+                sampler, n, keys[i : i + 1], coupler, window, redraft
+            )
+            assert tokens[i].tolist() == one_tokens[0].tolist()
+            assert stats[i] == one_stats[0]  # nfe, every IterationRecord, betas
+            assert list(stats[i].beta_trajectories) == list(one_stats[0].beta_trajectories)
+        if coupler is not None:
+            # trials leave the lockstep at different iterations
+            assert len({s.nfe for s in stats}) > 1
+        bare, none = decode_trials(sampler, n, keys, coupler, window, redraft, stats=False)
+        assert np.array_equal(bare, tokens) and none == []
+
+    def test_one_key_calls_are_decode_sjd_and_decode_vanilla(self):
+        model = TabularModel(FLAT_SPEC)
+        sampler = TargetSampler(model, SamplingParams())
+        master = RandomSource(12)
+        keys = trial_keys(master, 3)
+        tokens, stats = decode_trials(sampler, 20, keys, CouplerKind.GUMBEL, 5)
+        vanilla, _ = decode_trials(sampler, 20, keys)
+        for k in range(3):
+            seq, one = decode_sjd(
+                model, SamplingParams(), 20, 5, CouplerKind.GUMBEL, master.derive("trial", k)
+            )
+            assert seq == tuple(tokens[k].tolist()) and one == stats[k]
+            seq, _ = decode_vanilla(model, SamplingParams(), 20, master.derive("trial", k))
+            assert seq == tuple(vanilla[k].tolist())
 
 
 class TestRecordBeta:
     def test_values_against_hand_computation(self):
-        old = Categorical([0.6, 0.4])
-        new = Categorical([0.4, 0.6])
-        slot = _Slot(0, old)
-        slot.model_dist = True
-        state = _synthetic_state({3: slot}, [new])
-        betas = record_beta(state)
-        assert betas[3] == pytest.approx(0.8)
-        assert state.stats.beta_trajectories[3] == [betas[3]]
+        betas = record_beta(np.array([[0.4, 0.6]]), np.array([[0.6, 0.4]]))
+        assert betas.tolist() == [pytest.approx(0.8)]
 
     def test_identical_and_disjoint(self):
-        same = Categorical([0.5, 0.5])
-        slot = _Slot(0, same)
-        slot.model_dist = True
-        state = _synthetic_state({0: slot}, [same])
-        assert record_beta(state)[0] == 1.0
-
-        slot = _Slot(0, Categorical([1.0, 0.0]))
-        slot.model_dist = True
-        state = _synthetic_state({0: slot}, [Categorical([0.0, 1.0])])
-        assert record_beta(state)[0] == 0.0
+        betas = record_beta(
+            np.array([[0.5, 0.5], [0.0, 1.0]]), np.array([[0.5, 0.5], [1.0, 0.0]])
+        )
+        assert betas.tolist() == [1.0, 0.0]
 
     def test_uniform_initializer_skipped(self):
-        slot = _Slot(0, Categorical.uniform(2))  # model_dist stays False
-        state = _synthetic_state({0: slot}, [Categorical([0.9, 0.1])])
-        assert record_beta(state) == {}
+        # only slots whose draft law is a model evaluation are scored: under
+        # the default convention those are exactly the slid, re-drafted slots
+        sampler = TargetSampler(TabularModel(FLAT_SPEC), SamplingParams())
+        keys = trial_keys(RandomSource(4), 20)
+        _, stats = decode_trials(sampler, 32, keys, CouplerKind.MAXIMAL, 8)
+        for trial in stats:
+            assert trial.per_iteration[0].betas == []
+            for rec in trial.per_iteration:
+                assert len(rec.betas) == rec.compared
+            assert sum(len(v) for v in trial.beta_trajectories.values()) == sum(
+                rec.compared for rec in trial.per_iteration
+            )
 
 
 class TestRecordHamming:
     def test_no_comparable_positions(self):
-        slot = _Slot(1, Categorical.uniform(4))
-        state = _synthetic_state({0: slot})
-        assert record_hamming(state) == (None, 0)
+        tokens = np.array([[1, 2], [0, 3]])
+        changed, compared = record_hamming(tokens, tokens + 1, np.zeros((2, 2), dtype=bool))
+        assert changed.tolist() == [0, 0] and compared.tolist() == [0, 0]
 
     def test_counts_changes(self):
-        slots = {}
-        for pos, (token, prev) in enumerate([(1, 1), (2, 3), (0, 1), (2, 2)]):
-            slot = _Slot(token, Categorical.uniform(4))
-            slot.prev_token = prev
-            slot.prev_dist = Categorical.uniform(4)
-            slots[pos] = slot
-        state = _synthetic_state(slots)
-        assert record_hamming(state) == (2, 4)
+        changed, compared = record_hamming(
+            np.array([[1, 2, 0, 2]]), np.array([[1, 3, 1, 2]]), np.ones((1, 4), dtype=bool)
+        )
+        assert (changed.tolist(), compared.tolist()) == ([2], [4])
 
     def test_uniform8_expected_change_rate(self):
         # four comparable positions redrawn independently from uniform-8:
         # expected changes per iteration = 4 * 7/8 = 3.5
         dist = Categorical.uniform(8)
-        rng = RandomSource(17)
         iterations = 10**4
-        total = 0
-        for _ in range(iterations):
-            slots = {}
-            for pos in range(4):
-                slot = _Slot(sample_independent(dist, rng), dist)
-                slot.prev_token = sample_independent(dist, rng)
-                slot.prev_dist = dist
-                slots[pos] = slot
-            changed, compared = record_hamming(_synthetic_state(slots))
-            assert compared == 4
-            total += changed
-        mean = total / iterations
+        u = RandomSource(17).uniforms(2 * 4 * iterations)
+        rows = np.zeros(u.size, dtype=np.int64)
+        draws = inverse_cdf_rows(dist.probs[None], dist.cdf()[None], rows, u)
+        tokens, prev = draws.reshape(2, iterations, 4)
+        changed, compared = record_hamming(tokens, prev, np.ones((iterations, 4), dtype=bool))
+        assert np.all(compared == 4)
+        mean = changed.mean()
         sigma = math.sqrt(4 * (7 / 8) * (1 / 8) / iterations)
         assert abs(mean - 3.5) <= 3 * sigma

@@ -148,8 +148,14 @@ class TestTargetSampler:
             assert np.array_equal(dist.probs, sampler.dist(context + window[:j]).probs)
 
     def test_cache_returns_same_object(self):
+        # the row table holds one row per context: prefixes that agree on the
+        # last context_order tokens share its id and its row
         sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
-        assert sampler.dist([1, 2]) is sampler.dist([0, 1, 2])
+        a, b = sampler.context([1, 2]), sampler.context([0, 1, 2])
+        assert a == b
+        row_a, row_b = sampler.rows(np.array([a, b])).tolist()
+        assert row_a == row_b != TargetSampler.UNIFORM_ROW
+        assert sampler.next_ctx(np.array([sampler.context([1])]), np.array([2]))[0] == a
 
 
 class TestEnumerate:

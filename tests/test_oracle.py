@@ -6,8 +6,20 @@ import numpy as np
 import pytest
 
 from specjac.couplers import gs_couple, sample_gumbel_noise, sample_independent
-from specjac.decoder import CouplerKind, DecodeStats, IterationRecord, decode_vanilla
-from specjac.model import ModelSpec, SamplingParams, TabularModel, enumerate_sequence_distribution
+from specjac.decoder import (
+    CouplerKind,
+    DecodeStats,
+    IterationRecord,
+    decode_trials,
+    decode_vanilla,
+)
+from specjac.model import (
+    ModelSpec,
+    SamplingParams,
+    TabularModel,
+    TargetSampler,
+    enumerate_sequence_distribution,
+)
 from specjac.oracle import (
     EmpiricalLaw,
     acceptance_rate_check,
@@ -31,31 +43,35 @@ SPEC = ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=11)
 
 class TestCollect:
     def test_single_run(self):
-        model = TabularModel(SPEC)
-        law = collect(
-            lambda r: decode_vanilla(model, SamplingParams(), 3, r)[0], 1, RandomSource(1)
-        )
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
+        law = collect(lambda keys: decode_trials(sampler, 3, keys)[0], 1, RandomSource(1))
         assert law.total == 1
         assert sum(law.counts.values()) == 1
 
     def test_greedy_gives_single_entry(self):
-        model = TabularModel(SPEC)
-        sampling = SamplingParams(top_k=1)
-        law = collect(
-            lambda r: decode_vanilla(model, sampling, 4, r)[0], 50, RandomSource(2)
-        )
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams(top_k=1))
+        law = collect(lambda keys: decode_trials(sampler, 4, keys)[0], 50, RandomSource(2))
         assert len(law.counts) == 1
         assert law.total == 50
 
     def test_replay_identical(self):
         model = TabularModel(SPEC)
-        law1 = collect(
-            lambda r: decode_vanilla(model, SamplingParams(), 4, r)[0], 200, RandomSource(3)
-        )
-        law2 = collect(
-            lambda r: decode_vanilla(model, SamplingParams(), 4, r)[0], 200, RandomSource(3)
-        )
-        assert law1.counts == law2.counts
+        laws = [
+            collect(
+                lambda keys: decode_trials(TargetSampler(model, SamplingParams()), 4, keys)[0],
+                200,
+                RandomSource(3),
+            )
+            for _ in range(2)
+        ]
+        assert laws[0].counts == laws[1].counts
+        # trial k decodes the stream rng.derive("trial", k), as one-trial calls do
+        singles = [
+            decode_vanilla(model, SamplingParams(), 4, RandomSource(3).derive("trial", k))[0]
+            for k in range(200)
+        ]
+        assert list(laws[0].counts) == list(dict.fromkeys(singles))
+        assert sum(laws[0].counts.values()) == 200
 
 
 class TestTvToExact:
@@ -291,12 +307,9 @@ class TestHammingNfeCorrelation:
         return stats
 
     def test_perfect_correlation(self):
-        values = list(range(100))
-        decode_fn_calls = iter(values)
-
-        def fn(rng):
-            v = next(decode_fn_calls)
-            return self._stats(v, v)
+        def fn(keys):
+            assert len(keys) == 100
+            return [self._stats(v, v) for v in range(len(keys))]
 
         report = hamming_nfe_correlation(fn, 100, RandomSource(23))
         assert report.passed
@@ -304,7 +317,7 @@ class TestHammingNfeCorrelation:
 
     def test_degenerate_statistics_skip(self):
         report = hamming_nfe_correlation(
-            lambda rng: self._stats(3, 7), 100, RandomSource(24)
+            lambda keys: [self._stats(3, 7) for _ in keys], 100, RandomSource(24)
         )
         assert report.passed
         assert "skipped" in report.notes

@@ -1,9 +1,11 @@
 """Determinism and independence of the splittable random source."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from specjac.rng import RandomSource, label_hash
+from specjac.rng import RandomSource, derive_keys, uniforms_at
 
 
 def test_same_seed_same_stream():
@@ -64,14 +66,6 @@ def test_derive_does_not_consume_parent():
     assert a.draw_uniform01() == b.draw_uniform01()
 
 
-def test_label_hash_equivalent_to_string_key():
-    root = RandomSource(5)
-    assert (
-        root.derive("draft", 1).draw_uniform01()
-        == root.derive(label_hash("draft"), 1).draw_uniform01()
-    )
-
-
 def test_bool_key_rejected():
     with pytest.raises(TypeError):
         RandomSource(1).derive(True)
@@ -92,3 +86,30 @@ def test_substreams_are_statistically_independent():
     sigma = np.sqrt(1.0 / 12.0 / 200000)
     assert abs(x.mean() - 0.5) < 5 * sigma
     assert abs(y.mean() - 0.5) < 5 * sigma
+
+
+class TestBatchedKeys:
+    # keys near 2**64 make every add and multiply of the mix wrap
+    KEYS = [0, 1, 12345, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+
+    def test_derive_keys_equal_scalar_derive(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on overflow
+            keys = derive_keys(np.array(self.KEYS, dtype=np.uint64), "draft", 7, "x")
+            indexed = derive_keys(2**64 - 1, "trial", np.arange(5))
+        for key, got in zip(self.KEYS, keys.tolist()):
+            assert got == RandomSource.from_key(key).derive("draft", 7, "x").key
+        source = RandomSource.from_key(2**64 - 1)
+        assert indexed.tolist() == [source.derive("trial", k).key for k in range(5)]
+
+    def test_uniforms_at_equal_scalar_draws(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = uniforms_at(np.array(self.KEYS, dtype=np.uint64)[:, None], np.arange(1, 5))
+        for key, row in zip(self.KEYS, u.tolist()):
+            source = RandomSource.from_key(key)
+            assert row == [source.draw_uniform01() for _ in range(4)]
+
+    def test_from_key_round_trips(self):
+        child = RandomSource(3).derive("a", 1)
+        assert RandomSource.from_key(child.key).uniforms(3).tolist() == child.uniforms(3).tolist()
