@@ -332,6 +332,8 @@ def cmd_coupling_stats(config: ExperimentConfig, args: argparse.Namespace) -> in
                                ("--trials", args.trials, 1)):
         if value < floor:
             raise ConfigError(f"{flag}: must be >= {floor}")
+    if not np.isfinite(args.sharpness_range).all():
+        raise ConfigError("--sharpness-range: LO and HI must be finite")
     seed = config.run.seed
     master = RandomSource(seed)
     pairs = generate_pairs(

@@ -10,7 +10,6 @@ coupling whose collision probability is at least (1 - TV) / (1 + TV).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -27,20 +26,21 @@ class MrsOutcome(NamedTuple):
     token: int
 
 
-def inverse_cdf_sample(dist: Categorical, u: float) -> int:
-    """Map one uniform draw to a token via the cumulative distribution.
+def inverse_cdf_sample(dist: Categorical, u: float | np.ndarray) -> int | np.ndarray:
+    """Map uniform draws to tokens via the cumulative distribution.
 
     Token k is returned when u falls in [cdf(k-1), cdf(k)); zero-probability
-    tokens have empty intervals and are never returned.
+    tokens have empty intervals and are never returned.  A scalar ``u``
+    gives an int, an array ``u`` an array of tokens.
     """
-    cdf = dist.cdf_list()
-    idx = bisect_right(cdf, u)
-    if idx >= len(cdf):  # cumulative sum drifted below 1.0
-        idx = len(cdf) - 1
-        probs = dist.probs_list()
-        while idx > 0 and probs[idx] == 0.0:
-            idx -= 1
-    return idx
+    probs = dist.probs
+    idx = probs.cumsum().searchsorted(u, "right")
+    # cumulative sum drifted below 1.0 and u fell past it: last positive token
+    over = idx == probs.size
+    if isinstance(u, np.ndarray):
+        idx[over] = np.flatnonzero(probs)[-1]
+        return idx
+    return int(np.flatnonzero(probs)[-1] if over else idx)
 
 
 def inverse_cdf_rows(
@@ -48,8 +48,8 @@ def inverse_cdf_rows(
 ) -> np.ndarray:
     """Row-wise :func:`inverse_cdf_sample`: entry i maps ``u[i]`` through
     row ``rows[i]`` of the ``probs`` / ``cdf`` tables.  The token is the
-    number of cumulative entries <= u, as bisection finds it; drift past
-    the last entry falls back the same way."""
+    number of cumulative entries <= u, as ``searchsorted`` finds it; drift
+    past the last entry falls back the same way."""
     idx = (cdf[rows] <= u[:, None]).sum(axis=1)
     over = idx == cdf.shape[1]
     if over.any():  # cumulative sum drifted below 1.0: last positive token
@@ -78,17 +78,14 @@ def mrs(p: Categorical, q: Categorical, x: int, rng: RandomSource) -> MrsOutcome
     aligned across call sites.  Viewed as a joint law over (input, output),
     this is the maximal coupling of q and p.
     """
-    q_list = q.probs_list()
-    p_list = p.probs_list()
-    if len(p_list) != len(q_list):
-        raise ValueError(f"vocab sizes differ: {len(p_list)} vs {len(q_list)}")
-    qx = q_list[x]
+    if p.vocab_size != q.vocab_size:
+        raise ValueError(f"vocab sizes differ: {p.vocab_size} vs {q.vocab_size}")
+    qx = q.probs.item(x)
     if qx <= 0.0:
         raise ValueError(f"draft token {x} has zero probability under q")
-    accept_prob = p_list[x] / qx
     # Strict inequality: u == 0.0 is representable, and u <= 0 would otherwise
     # accept a token with p(x) == 0.
-    if rng.draw_uniform01() < accept_prob:
+    if rng.draw_uniform01() < p.probs.item(x) / qx:
         return MrsOutcome(True, x)
     residual = residual_distribution(p, q)
     return MrsOutcome(False, inverse_cdf_sample(residual, rng.draw_uniform01()))
@@ -112,23 +109,27 @@ def sample_gumbel_noise(vocab_size: int, rng: RandomSource) -> np.ndarray:
     return gumbel_from_uniform(rng.uniforms(vocab_size))
 
 
-def _masked_log(probs: np.ndarray) -> np.ndarray:
+def gumbel_argmax(probs: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Gumbel-max draws: argmax(log p + g) over the last axis.
+
+    ``probs`` and ``noise`` broadcast against each other, so one law can
+    meet many noise rows or one row per law.  Zero-probability tokens enter
+    the argmax as -inf and can never win; ties break toward the lower token
+    id.
+    """
     with np.errstate(divide="ignore"):
-        return np.log(probs)
+        return np.argmax(np.log(probs) + noise, axis=-1)
 
 
 def gs_couple(p: Categorical, q: Categorical, noise: np.ndarray) -> tuple[int, int]:
     """Couple samples from p and q by sharing one Gumbel noise vector.
 
     Returns (X, Y) with X = argmax(log p + g) and Y = argmax(log q + g);
-    marginally X ~ p and Y ~ q.  Zero-probability tokens enter the argmax as
-    -inf and can never win; ties break toward the lower token id.
+    marginally X ~ p and Y ~ q (see :func:`gumbel_argmax`).
     """
     if p.vocab_size != q.vocab_size or p.vocab_size != noise.shape[0]:
         raise ValueError("p, q, and noise must share one vocab size")
-    x = int(np.argmax(_masked_log(p.probs) + noise))
-    y = int(np.argmax(_masked_log(q.probs) + noise))
-    return x, y
+    return int(gumbel_argmax(p.probs, noise)), int(gumbel_argmax(q.probs, noise))
 
 
 def maximal_coupling_cost(p: Categorical, q: Categorical) -> float:

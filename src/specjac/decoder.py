@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
 
-from .couplers import gumbel_from_uniform, inverse_cdf_rows, mrs, mrs_accepts
+from .couplers import gumbel_argmax, gumbel_from_uniform, inverse_cdf_rows, mrs, mrs_accepts
 from .model import SamplingParams, TabularModel, TargetSampler, TokenSequence
 from .rng import RandomSource, derive_keys, uniforms_at
 
@@ -269,8 +269,7 @@ def _redraft(sampler, coupler, rows, prev_rows, prev_tokens, keys, noise):
     if coupler is CouplerKind.INDEPENDENT:
         return inverse_cdf_rows(probs, sampler.cdf, rows, uniforms_at(keys, 1))
     if coupler is CouplerKind.GUMBEL:
-        with np.errstate(divide="ignore"):
-            return np.argmax(np.log(probs[rows]) + noise, axis=1)
+        return gumbel_argmax(probs[rows], noise)
     # maximal: modified rejection sampling of the previous draft
     drafts = prev_tokens.copy()
     reject = ~mrs_accepts(

@@ -1,15 +1,15 @@
 """Order-k tabular autoregressive models with exactly enumerable sequence laws.
 
-The model stores (lazily generates) one logit vector per context: i.i.d.
-standard normals keyed by (seed, context), divided by a flatness knob.  High
-flatness gives near-uniform, high-entropy conditionals; low flatness gives
-peaky ones.  Because every conditional is an explicit finite table, the full
+The model defines one logit vector per context: i.i.d. standard normals
+keyed by (seed, context), divided by a flatness knob.  High flatness gives
+near-uniform, high-entropy conditionals; low flatness gives peaky ones.  Because every conditional is an explicit finite table, the full
 sequence distribution can be enumerated and used as ground truth for the
 decoders.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,14 +39,14 @@ class SamplingParams:
     cfg_scale: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
+        if not self.temperature > 0:  # also rejects NaN
             raise ValueError("temperature: must be positive")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k: must be >= 1")
         if self.top_p is not None and not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p: must be in (0, 1]")
-        if self.cfg_scale < 0:
-            raise ValueError("cfg_scale: must be >= 0")
+        if not 0 <= self.cfg_scale < math.inf:  # also rejects NaN
+            raise ValueError("cfg_scale: must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class ModelSpec:
             raise ValueError("vocab_size: must be >= 2")
         if self.context_order < 0:
             raise ValueError("context_order: must be >= 0")
-        if self.flatness <= 0:
+        if not self.flatness > 0:  # also rejects NaN
             raise ValueError("flatness: must be positive")
 
 
@@ -78,14 +78,15 @@ class TabularModel:
     """Autoregressive model with seeded random logit tables.
 
     The conditional at each position depends on the last ``context_order``
-    tokens of the prefix (left-padded with BOS).  Tables for the conditional
-    and the unconditional (guidance) variant are generated lazily per context
-    and cached; evaluation is pure and instances are safe to share.
+    tokens of the prefix (left-padded with BOS).  The logits of the
+    conditional and the unconditional (guidance) variant are regenerated on
+    each call from (seed, context), with nothing cached: evaluation is pure,
+    instances are safe to share, and ``TargetSampler`` keeps the rows it
+    builds.
     """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self._tables: dict[tuple, Logits] = {}
         cfg_seed = spec.cfg_seed if spec.cfg_seed is not None else spec.seed + 1
         self._roots = {
             False: RandomSource(spec.seed).derive("logit-table"),
@@ -112,14 +113,9 @@ class TabularModel:
         ``uncond`` selects the unconditional variant used for guidance
         mixing.
         """
-        key = (uncond, context)
-        logits = self._tables.get(key)
-        if logits is None:
-            root = self._roots[uncond]
-            stream = root.derive(*context) if context else root.derive("root")
-            logits = Logits(stream.normals(self.spec.vocab_size) / self.spec.flatness)
-            self._tables[key] = logits
-        return logits
+        root = self._roots[uncond]
+        stream = root.derive(*context) if context else root.derive("root")
+        return Logits(stream.normals(self.spec.vocab_size) / self.spec.flatness)
 
 
 class TargetSampler:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import pearsonr
 
-from .couplers import gumbel_from_uniform
+from .couplers import gumbel_argmax, gumbel_from_uniform, inverse_cdf_sample, mrs_accepts
 from .decoder import CouplerKind, DecodeStats, decode_trials, trial_keys
 from .model import (
     SamplingParams,
@@ -152,28 +152,17 @@ def gof_test(
 
 
 # ---------------------------------------------------------------------------
-# Coupler-level Monte Carlo estimators.  These are batched evaluations whose
-# draws match the scalar samplers bit-for-bit (same uniform stream and the
-# same inverse-CDF / argmax rules), which the test suite verifies directly.
+# Coupler-level Monte Carlo estimators: the couplers' own inverse CDF,
+# Gumbel argmax and accept test, applied to whole arrays of draws.
 # ---------------------------------------------------------------------------
-
-
-def _inverse_cdf_vector(dist: Categorical, u: np.ndarray) -> np.ndarray:
-    cdf = dist.cdf()
-    idx = np.searchsorted(cdf, u, side="right")
-    overflow = idx >= dist.vocab_size
-    if np.any(overflow):  # cumulative drift below 1.0
-        last_positive = int(np.nonzero(dist.probs)[0][-1])
-        idx = np.where(overflow, last_positive, idx)
-    return idx
 
 
 def estimate_independent_collision(
     p: Categorical, q: Categorical, trials: int, rng: RandomSource
 ) -> float:
     """Empirical collision rate of two independent sampling streams."""
-    x = _inverse_cdf_vector(p, rng.derive("x").uniforms(trials))
-    y = _inverse_cdf_vector(q, rng.derive("y").uniforms(trials))
+    x = inverse_cdf_sample(p, rng.derive("x").uniforms(trials))
+    y = inverse_cdf_sample(q, rng.derive("y").uniforms(trials))
     return float(np.mean(x == y))
 
 
@@ -183,12 +172,7 @@ def estimate_gumbel_collision(
     """Empirical collision rate of shared-noise Gumbel argmax sampling."""
     vocab = p.vocab_size
     noise = gumbel_from_uniform(rng.uniforms(trials * vocab)).reshape(trials, vocab)
-    with np.errstate(divide="ignore"):
-        logp = np.log(p.probs)
-        logq = np.log(q.probs)
-    x = np.argmax(logp + noise, axis=1)
-    y = np.argmax(logq + noise, axis=1)
-    return float(np.mean(x == y))
+    return float(np.mean(gumbel_argmax(p.probs, noise) == gumbel_argmax(q.probs, noise)))
 
 
 def random_categorical(
@@ -243,20 +227,17 @@ def acceptance_rate_check(
 ) -> TestReport:
     """Empirical accept fraction of rejection sampling vs the analytic rate.
 
-    Samples x ~ q, runs the real ``mrs`` step, and compares the accept
-    fraction to 1 - TV(p, q) within three binomial standard errors.
+    Draws every x ~ q from the ``draft`` substream, runs the engine's accept
+    test (:func:`mrs_accepts`, as strict as ``mrs``) on the ``accept``
+    substream, and compares the accept fraction to 1 - TV(p, q) within three
+    binomial standard errors.
     """
-    from .couplers import mrs, sample_independent
-
     if trials < 10**3:
         raise ValueError("trials must be >= 1000")
     expected = 1.0 - tv_distance(p, q)
-    accepted = 0
-    for _ in range(trials):
-        x = sample_independent(q, rng)
-        if mrs(p, q, x, rng).accepted:
-            accepted += 1
-    observed = accepted / trials
+    x = inverse_cdf_sample(q, rng.derive("draft").uniforms(trials))
+    u = rng.derive("accept").uniforms(trials)
+    observed = int(mrs_accepts(u, p.probs[x], q.probs[x]).sum()) / trials
     sigma = math.sqrt(expected * (1.0 - expected) / trials)
     diff = abs(observed - expected)
     return TestReport(

@@ -29,7 +29,7 @@ class Categorical:
     immutable after construction and safe to share across threads.
     """
 
-    __slots__ = ("probs", "_cdf", "_cdf_list", "_probs_list")
+    __slots__ = ("probs",)
 
     def __init__(self, probs) -> None:
         arr = np.ascontiguousarray(probs, dtype=np.float64)
@@ -49,9 +49,6 @@ class Categorical:
     def _attach(self, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         self.probs = arr
-        self._cdf = None
-        self._cdf_list = None
-        self._probs_list = None
 
     @classmethod
     def _from_normalized(cls, arr: np.ndarray) -> "Categorical":
@@ -69,26 +66,6 @@ class Categorical:
     @property
     def vocab_size(self) -> int:
         return self.probs.shape[0]
-
-    def cdf(self) -> np.ndarray:
-        """Cumulative probabilities, cached for repeated inverse-CDF sampling."""
-        if self._cdf is None:
-            cdf = np.cumsum(self.probs)
-            cdf.flags.writeable = False
-            self._cdf = cdf
-        return self._cdf
-
-    def cdf_list(self) -> tuple[float, ...]:
-        """Cumulative probabilities as a plain tuple (fast scalar bisection)."""
-        if self._cdf_list is None:
-            self._cdf_list = tuple(self.cdf().tolist())
-        return self._cdf_list
-
-    def probs_list(self) -> tuple[float, ...]:
-        """Probabilities as a plain tuple (fast scalar indexing)."""
-        if self._probs_list is None:
-            self._probs_list = tuple(self.probs.tolist())
-        return self._probs_list
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Categorical({self.probs.tolist()})"

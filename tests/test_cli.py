@@ -64,7 +64,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="decode.widnow"):
             build_config(overrides={"decode.widnow": 3})
 
-    def test_invalid_values_name_the_field(self):
+    def test_invalid_values_name_the_field(self, capsys):
         with pytest.raises(ConfigError, match="decode.window"):
             build_config(overrides={"decode.window": 0})
         with pytest.raises(ConfigError, match="decode.coupler"):
@@ -73,6 +73,14 @@ class TestConfig:
             build_config(overrides={"sampling.top_k": 99})
         with pytest.raises(ConfigError, match="model.vocab_size"):
             build_config(overrides={"model.vocab_size": 1})
+        # NaN fails every range check; an infinite guidance scale overflows
+        # the logit mix
+        for path, value in (("model.flatness", "nan"), ("sampling.temperature", "nan"),
+                            ("sampling.cfg_scale", "nan"), ("sampling.cfg_scale", "inf")):
+            with pytest.raises(ConfigError, match=path):
+                build_config(overrides={path: value})
+            assert main(["generate", f"--{path}", value, "--run.trials", "2"]) == EXIT_CONFIG
+            assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize("data, overrides, field", [
         ({"model": {"vocab_size": 4.7}}, None, "model.vocab_size"),
@@ -293,10 +301,12 @@ class TestCouplingStats:
 
     @pytest.mark.parametrize("flag, value", [
         ("--vocab", "1"), ("--vocab", "0"), ("--pairs", "0"), ("--pairs", "-3"), ("--trials", "0"),
+        ("--sharpness-range", "nan 1"), ("--sharpness-range", "1 inf"),
     ])
     def test_out_of_range_flags_exit_2(self, flag, value, tmp_path, capsys):
         out = tmp_path / "pairs.csv"
-        assert main(["coupling-stats", flag, value, "--out", str(out)]) == EXIT_CONFIG
+        argv = ["coupling-stats", flag, *value.split(), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
         assert not out.exists()
 

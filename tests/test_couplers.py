@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from specjac.couplers import (
@@ -282,7 +284,7 @@ class TestBatchedPrimitives:
     def test_inverse_cdf_rows_drift_maps_to_last_positive_token(self):
         # ten 0.1 entries sum to 0.9999999999999999; the last token is masked
         dist = Categorical._from_normalized(np.array([0.1] * 10 + [0.0]))
-        cdf = dist.cdf()
+        cdf = np.cumsum(dist.probs)
         assert cdf[-1] < 1.0
         u = np.array([cdf[-1], np.nextafter(cdf[-1], 1.0), 0.0, 0.05])
         got = inverse_cdf_rows(dist.probs[None], cdf[None], np.zeros(4, dtype=np.int64), u)
@@ -300,6 +302,29 @@ class TestBatchedPrimitives:
             assert np.all(probs[row, tokens] > 0.0)
             expected = [inverse_cdf_sample(Categorical(probs[row]), float(v)) for v in u]
             assert tokens.tolist() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1,
+                         max_size=16).filter(any),
+        drift=st.booleans(),
+        u=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True,
+                                                     exclude_max=True),
+                             st.just(1.0 - 2.0**-53)), min_size=1, max_size=8),
+    )
+    def test_inverse_cdf_scalar_array_and_rows_agree(self, weights, drift, u):
+        # zero weights are masked tokens; with ``drift`` the law is scaled so
+        # its cumulative sum ends below 1 and u = 1 - 2**-53 falls past it
+        probs = np.array(weights) / sum(weights)
+        if drift:
+            probs *= 1.0 - 2.0**-50
+        dist, u = Categorical._from_normalized(probs), np.array(u)
+        tokens = inverse_cdf_sample(dist, u)
+        assert tokens.tolist() == [inverse_cdf_sample(dist, float(v)) for v in u]
+        rows = np.zeros(u.size, dtype=np.int64)
+        by_rows = inverse_cdf_rows(probs[None], np.cumsum(probs)[None], rows, u)
+        assert tokens.tolist() == by_rows.tolist()
+        assert np.all(probs[tokens] > 0.0)
 
     def test_accept_is_strict_at_zero(self):
         # u == 0 must reject a token with p(x) == 0, as mrs does

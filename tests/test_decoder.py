@@ -252,7 +252,7 @@ class TestRecordHamming:
         iterations = 10**4
         u = RandomSource(17).uniforms(2 * 4 * iterations)
         rows = np.zeros(u.size, dtype=np.int64)
-        draws = inverse_cdf_rows(dist.probs[None], dist.cdf()[None], rows, u)
+        draws = inverse_cdf_rows(dist.probs[None], np.cumsum(dist.probs)[None], rows, u)
         tokens, prev = draws.reshape(2, iterations, 4)
         changed, compared = record_hamming(tokens, prev, np.ones((iterations, 4), dtype=bool))
         assert np.all(compared == 4)

@@ -222,5 +222,7 @@ class TestModelSpecValidation:
             ModelSpec(vocab_size=1)
         with pytest.raises(ValueError):
             ModelSpec(vocab_size=4, flatness=0.0)
+        with pytest.raises(ValueError, match="flatness"):
+            ModelSpec(vocab_size=4, flatness=math.nan)
         with pytest.raises(ValueError):
             ModelSpec(vocab_size=4, context_order=-1)
