@@ -5,7 +5,9 @@ path])`` for each command below.  The first four are the argv of acceptance
 criterion 10.  The others cover what those miss: per-trial rows at V=16
 (the flat regime of ``benchmarks/configs/flat.yaml``, spelled out as
 overrides), the redraft rejection convention, guided and top-k truncated
-target laws (zero-probability tokens), and a V=64 order-3 flatness sweep.
+target laws (zero-probability tokens), a V=64 order-3 flatness sweep, a
+nucleus (top-p) law at temperature 0.7 under guidance, and an order-0 model
+(one context, the same law at every position).
 A refactor that keeps behaviour keeps every draw, stream key, float format
 and CSV column, so these bytes must not move.  Regenerate a golden file
 only with a change that states and justifies its new stream layout.
@@ -22,6 +24,9 @@ GOLDEN = Path(__file__).parent / "golden"
 FLAT = [
     "--model.vocab_size", "16", "--model.context_order", "2", "--model.flatness", "4.0",
     "--model.seed", "5", "--decode.length", "64", "--decode.window", "16",
+]
+NUCLEUS = [
+    "--sampling.top_p", "0.9", "--sampling.temperature", "0.7", "--sampling.cfg_scale", "1.5",
 ]
 GUIDED = ["--sampling.cfg_scale", "1.5", "--sampling.top_k", "3", "--run.trials", "25"]
 
@@ -49,6 +54,13 @@ COMMANDS = {
         "sweep", "--model.vocab_size", "64", "--model.context_order", "3",
         "--decode.length", "64", "--decode.window", "16", "--decode.coupler", "maximal",
         "--axis", "flatness", "--values", "0.5,4", "--run.trials", "2",
+    ],
+    "generate-flat-nucleus.csv": [
+        "generate", *FLAT, *NUCLEUS, "--run.trials", "10", "--decode.coupler", "maximal",
+    ],
+    "generate-order0.csv": [
+        "generate", "--model.context_order", "0", "--model.vocab_size", "8",
+        "--decode.coupler", "independent", "--run.trials", "25",
     ],
 }
 
