@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, get_args, get_type_hints
 
@@ -21,6 +22,7 @@ import yaml
 
 from .errors import ConfigError
 from .model import ModelSpec, SamplingParams
+from .rng import NORMAL_BOUND
 
 COUPLER_CHOICES = ("vanilla", "independent", "maximal", "gumbel")
 FORMAT_CHOICES = ("csv", "report")
@@ -181,4 +183,14 @@ def build_config(
     top_k = config.sampling.top_k
     if top_k is not None and top_k > config.model.vocab_size:
         raise ConfigError("sampling.top_k: must be in [1, model.vocab_size]")
+    # largest processed logit, (1 + 2 * cfg_scale) * NORMAL_BOUND / (flatness
+    # * temperature), term by term as the guidance mix forms it
+    stored = NORMAL_BOUND / config.model.flatness
+    scale = config.sampling.cfg_scale
+    if not math.isfinite((stored * (1.0 + scale) + stored * scale) / config.sampling.temperature):
+        raise ConfigError(
+            "model.flatness, sampling.temperature, sampling.cfg_scale: the largest "
+            f"processed logit, {NORMAL_BOUND:.2f} * (1 + 2 * cfg_scale) / (flatness * "
+            "temperature), is not finite"
+        )
     return config

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .prob import Categorical, Logits, apply_processors, mix_cfg
-from .rng import RandomSource
+from .rng import RandomSource, derive_keys, normals_of, uniforms_at
 
 # Context padding symbol for positions closer to the sequence start than the
 # model order; never a valid token id.
@@ -108,14 +108,27 @@ class TabularModel:
         return tail
 
     def logits(self, context: tuple[int, ...], uncond: bool = False) -> Logits:
-        """Stored logits of one context (a ``context_key``).
+        """Stored logits of one context (a ``context_key``): the one-row
+        case of :meth:`logit_rows`."""
+        return Logits(self.logit_rows(np.array([context], dtype=np.int64), uncond).values[0])
 
+    def logit_rows(self, contexts: np.ndarray, uncond: bool = False) -> Logits:
+        """Stored logits of every row of an ``(R, context_order)`` array of
+        context keys, as an ``(R, vocab_size)`` matrix.
+
+        Row r holds the normals of the stream ``root.derive(*contexts[r])``
+        (``root.derive("root")`` at order 0), divided by the flatness; BOS
+        folds into the key as ``2**64 - 1``, as a negative int part does.
         ``uncond`` selects the unconditional variant used for guidance
         mixing.
         """
         root = self._roots[uncond]
-        stream = root.derive(*context) if context else root.derive("root")
-        return Logits(stream.normals(self.spec.vocab_size) / self.spec.flatness)
+        if contexts.shape[1]:
+            keys = derive_keys(root.key, *contexts.T)
+        else:
+            keys = np.broadcast_to(derive_keys(root.key, "root"), len(contexts))
+        draws = uniforms_at(keys[:, None], np.arange(1, self.spec.vocab_size + 1))
+        return Logits(normals_of(draws) / self.spec.flatness)
 
 
 class TargetSampler:
@@ -124,7 +137,8 @@ class TargetSampler:
     This is the distribution every decoder must reproduce; losslessness is
     defined relative to it.  It is a row table over context ids: an id names
     one ``context_key``, ``next_ctx`` moves ids on by one token, and
-    ``rows`` maps ids to rows of ``probs`` / ``cdf``, built on first use.
+    ``rows`` maps ids to rows of ``probs`` / ``cdf``, built on first use,
+    all missing rows of a call in one bulk build.
     Row ``UNIFORM_ROW`` is the uniform law (the Jacobi draft initializer).
     One table serves every trial of a model and sampling configuration.
     """
@@ -141,15 +155,14 @@ class TargetSampler:
         self.probs = np.empty((16, model.vocab_size))
         self.cdf = np.empty_like(self.probs)
         self._rows = 0
-        self._add_rows([Categorical.uniform(model.vocab_size)])
+        self._add_rows(Categorical.uniform(model.vocab_size).probs[None])
 
-    def _add_rows(self, dists: list[Categorical]) -> range:
-        new = range(self._rows, self._rows + len(dists))
+    def _add_rows(self, block: np.ndarray) -> range:
+        new = range(self._rows, self._rows + len(block))
         while new.stop > len(self.probs):  # full: double the tables
             self.probs = np.concatenate([self.probs, np.empty_like(self.probs)])
             self.cdf = np.concatenate([self.cdf, np.empty_like(self.cdf)])
-        block = self.probs[new.start : new.stop]
-        block[:] = [dist.probs for dist in dists]
+        self.probs[new.start : new.stop] = block
         np.cumsum(block, axis=1, out=self.cdf[new.start : new.stop])
         self._rows = new.stop
         return new
@@ -180,20 +193,24 @@ class TargetSampler:
         return out
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Row of the target law of each context id, built on first use."""
+        """Row of the target law of each context id, built on first use.
+
+        The missing rows are built together: their logits in one matrix,
+        then the guidance mix and the processors row by row.
+        """
         out = self._row[ids]
         if out.size and out.min() < 0:
             missing = np.unique(ids[out < 0])
-            self._row[missing] = self._add_rows([self._build(cid) for cid in missing.tolist()])
+            contexts = np.array([self._keys[cid] for cid in missing.tolist()], dtype=np.int64)
+            model, sampling = self.model, self.sampling
+            logits = model.logit_rows(contexts)
+            if sampling.cfg_scale > 0:
+                uncond = model.logit_rows(contexts, uncond=True)
+                logits = mix_cfg(logits, uncond, sampling.cfg_scale)
+            dists = apply_processors(logits, sampling.temperature, sampling.top_k, sampling.top_p)
+            self._row[missing] = self._add_rows(dists.probs)
             out = self._row[ids]
         return out
-
-    def _build(self, cid: int) -> Categorical:
-        key, sampling = self._keys[cid], self.sampling
-        logits = self.model.logits(key)
-        if sampling.cfg_scale > 0:
-            logits = mix_cfg(logits, self.model.logits(key, uncond=True), sampling.cfg_scale)
-        return apply_processors(logits, sampling.temperature, sampling.top_k, sampling.top_p)
 
     def categorical(self, row: int) -> Categorical:
         """Row ``row`` as a :class:`Categorical` (a read-only view)."""

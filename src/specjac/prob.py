@@ -25,24 +25,29 @@ class Categorical:
     """Normalized probability vector over a finite vocabulary.
 
     Entries are non-negative, and the vector is renormalized on construction
-    provided the raw sum is within ``SUM_TOLERANCE`` of 1.  Instances are
-    immutable after construction and safe to share across threads.
+    provided the raw sum is within ``SUM_TOLERANCE`` of 1.  A matrix holds
+    one such law per row, checked and renormalized row by row (the bulk
+    output of :func:`apply_processors`); the functions over single laws take
+    vectors.  Instances are immutable after construction and safe to share
+    across threads.
     """
 
     __slots__ = ("probs",)
 
     def __init__(self, probs) -> None:
         arr = np.ascontiguousarray(probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("probs must be a non-empty 1-D vector")
+        if arr.ndim not in (1, 2) or arr.shape[-1] < 1:
+            raise ValueError("probs must be a non-empty 1-D vector or a matrix of rows")
         if not np.isfinite(arr).all():
             raise ValueError("probabilities must be finite")
         if (arr < 0.0).any():
             raise ValueError("probabilities must be non-negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
+        total = arr.sum(axis=-1, keepdims=True)
+        off = np.abs(total - 1.0) > SUM_TOLERANCE
+        if off.any():
             raise ValueError(
-                f"probabilities sum to {total!r}; deviation from 1 exceeds {SUM_TOLERANCE}"
+                f"probabilities sum to {float(total[off][0])!r}; "
+                f"deviation from 1 exceeds {SUM_TOLERANCE}"
             )
         self._attach(arr / total)
 
@@ -65,7 +70,7 @@ class Categorical:
 
     @property
     def vocab_size(self) -> int:
-        return self.probs.shape[0]
+        return self.probs.shape[-1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Categorical({self.probs.tolist()})"
@@ -75,25 +80,26 @@ class Logits:
     """Unnormalized log-odds over a vocabulary.
 
     Entries are finite reals, or exactly -inf to denote masked tokens; at
-    least one entry must be unmasked.
+    least one entry must be unmasked.  A matrix holds one logit vector per
+    row, each checked on its own.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values) -> None:
         arr = np.ascontiguousarray(values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("values must be a non-empty 1-D vector")
+        if arr.ndim not in (1, 2) or arr.shape[-1] < 1:
+            raise ValueError("values must be a non-empty 1-D vector or a matrix of rows")
         if not (arr < np.inf).all():  # NaN or +inf
             raise ValueError("logits must be finite or -inf")
-        if not (arr > -np.inf).any():
+        if not (arr > -np.inf).any(axis=-1).all():
             raise ValueError("at least one logit must be unmasked")
         arr.flags.writeable = False
         self.values = arr
 
     @property
     def vocab_size(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Logits({self.values.tolist()})"
@@ -138,7 +144,7 @@ def residual_distribution(p: Categorical, q: Categorical) -> Categorical:
 
 
 def mix_cfg(cond: Logits, uncond: Logits, scale: float) -> Logits:
-    """Guided logit mix: ``(1 + scale) * cond - scale * uncond``.
+    """Guided logit mix: ``(1 + scale) * cond - scale * uncond``, entry by entry.
 
     ``scale == 0`` returns ``cond`` unchanged.  Positions masked (-inf) in
     both inputs stay masked; callers must keep the masks of the two inputs
@@ -160,12 +166,21 @@ def mix_cfg(cond: Logits, uncond: Logits, scale: float) -> Logits:
 
 
 def softmax(values: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax; -inf entries map to exactly zero."""
-    shifted = values - values.max()
+    """Numerically stable softmax along the last axis; -inf entries map to
+    exactly zero."""
+    shifted = values - values.max(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
         expd = np.exp(shifted)
     expd = np.where(values == -np.inf, 0.0, expd)
-    return expd / expd.sum()
+    return expd / expd.sum(axis=-1, keepdims=True)
+
+
+def _keep_ranks(values: np.ndarray, order: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``values`` with -inf wherever the rank of the entry in ``order`` (its
+    row's ordering) is not marked in ``kept`` (a mask over ranks)."""
+    mask = np.empty(values.shape, dtype=bool)
+    np.put_along_axis(mask, order, kept, axis=-1)
+    return np.where(mask, values, -np.inf)
 
 
 def apply_processors(
@@ -174,39 +189,36 @@ def apply_processors(
     top_k: int | None = None,
     top_p: float | None = None,
 ) -> Categorical:
-    """Turn logits into the sampling distribution.
+    """Turn logits into the sampling distribution, row by row.
 
     Order of application: temperature scaling, then top-k masking, then
     top-p (nucleus) masking, then softmax.  Ties at the top-k cutoff keep
     lower token ids; top-p keeps the smallest descending-probability prefix
-    whose cumulative mass reaches ``top_p``.
+    whose cumulative mass reaches ``top_p``.  A matrix of logits gives a
+    matrix of laws, one per row.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     values = logits.values / temperature
+    ranks = np.arange(logits.vocab_size)
 
     if top_k is not None:
         if not 1 <= top_k <= logits.vocab_size:
             raise ValueError("top_k must be in [1, vocab_size]")
         if top_k < logits.vocab_size:
             # stable sort on negated values: descending, lower ids first on ties
-            order = np.argsort(-values, kind="stable")
-            masked = np.full_like(values, -np.inf)
-            keep = order[:top_k]
-            masked[keep] = values[keep]
-            values = masked
+            order = np.argsort(-values, axis=-1, kind="stable")
+            values = _keep_ranks(values, order, ranks < top_k)
 
     if top_p is not None:
         if not 0.0 < top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
         probs = softmax(values)
-        order = np.argsort(-probs, kind="stable")
-        csum = np.cumsum(probs[order])
-        cut = int(np.searchsorted(csum, top_p, side="left"))
-        if cut < order.size:  # float drift can leave csum just short of 1.0
-            masked = np.full_like(values, -np.inf)
-            keep = order[: cut + 1]
-            masked[keep] = values[keep]
-            values = masked
+        order = np.argsort(-probs, axis=-1, kind="stable")
+        csum = np.cumsum(np.take_along_axis(probs, order, axis=-1), axis=-1)
+        # keep ranks up to the first reaching top_p; float drift can leave
+        # csum just short of 1.0, and then the whole row stays
+        cut = (csum < top_p).sum(axis=-1, keepdims=True)
+        values = _keep_ranks(values, order, ranks <= cut)
 
     return Categorical(softmax(values))

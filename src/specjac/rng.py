@@ -22,6 +22,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV53 = 1.0 / (1 << 53)
+_CLIP = 2.0**-53
+NORMAL_BOUND = -float(ndtri(_CLIP))  # about 8.21
 
 # sha256 of string key components, memoized (the set of labels is tiny)
 _STR_HASHES: dict[str, int] = {}
@@ -109,12 +111,17 @@ class RandomSource:
         return (z >> np.uint64(11)).astype(np.float64) * _INV53
 
     def normals(self, n: int) -> np.ndarray:
-        """``n`` standard normals: the inverse normal CDF of ``n`` uniforms.
+        """``n`` standard normals: :func:`normals_of` ``n`` uniforms."""
+        return normals_of(self.uniforms(n))
 
-        The uniforms are clipped into [2**-53, 1 - 2**-53], so a zero draw
-        maps to a finite value.
-        """
-        return ndtri(np.clip(self.uniforms(n), 2.0**-53, 1.0 - 2.0**-53))
+
+def normals_of(u: np.ndarray) -> np.ndarray:
+    """Standard normals: the inverse normal CDF of the uniforms ``u``.
+
+    The uniforms are clipped into [2**-53, 1 - 2**-53], so a zero draw maps
+    to a finite value and every normal lies within +-``NORMAL_BOUND``.
+    """
+    return ndtri(np.clip(u, _CLIP, 1.0 - _CLIP))
 
 
 # Keys and draws over uint64 arrays, entry for entry equal to the scalar
@@ -132,8 +139,9 @@ def derive_keys(keys, *key_parts) -> np.ndarray:
     """Stream keys of ``RandomSource.from_key(k).derive(*key_parts)`` for
     every key ``k`` in ``keys``.
 
-    A part is an int, a str, or an array of non-negative integers broadcast
-    against ``keys``; the result has the broadcast shape (at least 1-D).
+    A part is an int, a str, or an integer array broadcast against ``keys``
+    (negative entries wrap modulo 2**64, as int parts do); the result has the
+    broadcast shape (at least 1-D).
     """
     k = np.array(keys, dtype=np.uint64, ndmin=1)
     for part in key_parts:

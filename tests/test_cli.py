@@ -74,12 +74,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="model.vocab_size"):
             build_config(overrides={"model.vocab_size": 1})
         # NaN fails every range check; an infinite guidance scale overflows
-        # the logit mix
-        for path, value in (("model.flatness", "nan"), ("sampling.temperature", "nan"),
-                            ("sampling.cfg_scale", "nan"), ("sampling.cfg_scale", "inf")):
+        # the logit mix, and so do tiny divisors and a huge finite scale
+        for path, value, *other in (
+            ("model.flatness", "nan"), ("sampling.temperature", "nan"),
+            ("sampling.cfg_scale", "nan"), ("sampling.cfg_scale", "inf"),
+            ("sampling.temperature", "1e-320"), ("model.flatness", "1e-320"),
+            ("sampling.cfg_scale", "1e308", "model.flatness", "0.5"),
+        ):
+            overrides = dict(zip([path, *other[::2]], [value, *other[1::2]]))
             with pytest.raises(ConfigError, match=path):
-                build_config(overrides={path: value})
-            assert main(["generate", f"--{path}", value, "--run.trials", "2"]) == EXIT_CONFIG
+                build_config(overrides=overrides)
+            flags = [arg for key, val in overrides.items() for arg in (f"--{key}", val)]
+            assert main(["generate", *flags, "--run.trials", "2"]) == EXIT_CONFIG
             assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize("data, overrides, field", [

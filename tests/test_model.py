@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specjac.errors import BudgetError
 from specjac.model import (
@@ -15,7 +17,15 @@ from specjac.model import (
     TargetSampler,
     enumerate_sequence_distribution,
 )
-from specjac.prob import Logits, apply_processors, mix_cfg, renyi2_entropy, softmax
+from specjac.prob import (
+    Categorical,
+    Logits,
+    apply_processors,
+    mix_cfg,
+    renyi2_entropy,
+    softmax,
+)
+from specjac.rng import RandomSource
 
 SPEC = ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=11)
 
@@ -101,13 +111,15 @@ class TestTargetDistribution:
 
     def test_guided_mix_with_zero_unconditional_sharpens(self, monkeypatch):
         model = TabularModel(SPEC)
-        stored = model.logits
+        stored = model.logit_rows
         monkeypatch.setattr(
-            model, "logits",
-            lambda context, uncond=False: Logits(np.zeros(4)) if uncond else stored(context),
+            model, "logit_rows",
+            lambda contexts, uncond=False: (
+                Logits(np.zeros((len(contexts), 4))) if uncond else stored(contexts)
+            ),
         )
         dist = TargetSampler(model, SamplingParams(cfg_scale=3.0)).dist([0])
-        assert np.allclose(dist.probs, softmax(4.0 * stored((BOS, 0)).values))
+        assert np.allclose(dist.probs, softmax(4.0 * stored(np.array([[BOS, 0]])).values[0]))
 
     def test_composition_matches_manual_pipeline(self):
         spec = ModelSpec(vocab_size=6, context_order=1, flatness=1.0, seed=3)
@@ -156,6 +168,120 @@ class TestTargetSampler:
         row_a, row_b = sampler.rows(np.array([a, b])).tolist()
         assert row_a == row_b != TargetSampler.UNIFORM_ROW
         assert sampler.next_ctx(np.array([sampler.context([1])]), np.array([2]))[0] == a
+
+
+def _one_law_processors(values, temperature, top_k, top_p):
+    """Reference: the processors of a single logit vector, one token mask at
+    a time (top-p cut by ``searchsorted``)."""
+    values = values / temperature
+    if top_k is not None and top_k < values.size:
+        keep = np.argsort(-values, kind="stable")[:top_k]
+        masked = np.full_like(values, -np.inf)
+        masked[keep] = values[keep]
+        values = masked
+    if top_p is not None:
+        probs = softmax(values)
+        order = np.argsort(-probs, kind="stable")
+        cut = int(np.searchsorted(np.cumsum(probs[order]), top_p, side="left"))
+        if cut < order.size:
+            masked = np.full_like(values, -np.inf)
+            keep = order[: cut + 1]
+            masked[keep] = values[keep]
+            values = masked
+    probs = softmax(values)
+    return probs / probs.sum()
+
+
+class TestBulkBuild:
+    """``TargetSampler.rows`` builds every missing row of a call at once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        vocab=st.integers(2, 64),
+        order=st.integers(0, 3),
+        flatness=st.sampled_from([0.3, 1.0, 4.0]),
+        seed=st.integers(0, 2**32),
+        prefixes=st.lists(st.lists(st.integers(0, 63), max_size=5), min_size=1, max_size=12),
+        temperature=st.sampled_from([0.3, 0.7, 1.0, 2.5]),
+        top_k=st.one_of(st.none(), st.integers(1, 64)),
+        top_p=st.one_of(st.none(), st.floats(0.05, 1.0)),
+        cfg_scale=st.sampled_from([0.0, 0.5, 3.0]),
+    )
+    def test_bulk_rows_equal_one_row_builds(
+        self, vocab, order, flatness, seed, prefixes, temperature, top_k, top_p, cfg_scale
+    ):
+        # prefixes shorter than the order are BOS-padded
+        spec = ModelSpec(vocab, order, flatness, seed)
+        top_k = None if top_k is None else min(top_k, vocab)
+        sampling = SamplingParams(temperature, top_k, top_p, cfg_scale)
+        prefixes = [[token % vocab for token in prefix] for prefix in prefixes]
+        bulk, single = (TargetSampler(TabularModel(spec), sampling) for _ in range(2))
+        ids = [bulk.context(prefix) for prefix in prefixes]
+        assert [single.context(prefix) for prefix in prefixes] == ids
+        for cid, row in zip(ids, bulk.rows(np.array(ids)).tolist()):
+            one = single.rows(np.array([cid]))[0]
+            assert bulk.probs[row].tobytes() == single.probs[one].tobytes()
+            assert bulk.cdf[row].tobytes() == single.cdf[one].tobytes()
+        # stored logits: the scalar stream of each context, as before batching
+        model = bulk.model
+        root = RandomSource(seed).derive("logit-table")
+        for prefix in prefixes:
+            key = model.context_key(prefix)
+            stream = root.derive(*key) if key else root.derive("root")
+            expected = stream.normals(vocab) / flatness
+            assert model.logits(key).values.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_processors_of_a_matrix_equal_the_one_law_reference(self, data):
+        # logits from a small grid, so top-k cutoffs and top-p prefixes see ties
+        vocab = data.draw(st.integers(2, 8))
+        grid = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0])
+        row = st.lists(grid, min_size=vocab, max_size=vocab).filter(lambda r: max(r) > -np.inf)
+        values = np.array(data.draw(st.lists(row, min_size=1, max_size=6)))
+        temperature = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+        top_k = data.draw(st.one_of(st.none(), st.integers(1, vocab)))
+        top_p = data.draw(st.one_of(st.none(), st.floats(0.05, 1.0)))
+        bulk = apply_processors(Logits(values), temperature, top_k, top_p).probs
+        for r, vector in enumerate(values):
+            expected = _one_law_processors(vector, temperature, top_k, top_p)
+            assert bulk[r].tobytes() == expected.tobytes()
+            one = apply_processors(Logits(vector), temperature, top_k, top_p).probs
+            assert one.tobytes() == expected.tobytes()
+
+    def test_row_checks_survive_batching(self, monkeypatch):
+        logits = np.zeros((3, 4))
+        for bad, message in ((np.nan, "finite or -inf"), (np.inf, "finite or -inf")):
+            matrix = logits.copy()
+            matrix[1, 2] = bad
+            with pytest.raises(ValueError, match=message):
+                Logits(matrix)
+        matrix = logits.copy()
+        matrix[2] = -np.inf
+        with pytest.raises(ValueError, match="unmasked"):
+            Logits(matrix)
+        for bad, message in ((np.nan, "finite"), (-0.25, "non-negative"), (0.5, "sum to")):
+            probs = np.full((3, 4), 0.25)
+            probs[1, 0] = bad
+            with pytest.raises(ValueError, match=message):
+                Categorical(probs)
+        # through the sampler, with unchecked logits: a NaN row or a fully
+        # masked row among good ones still fails the build, at the law check
+        model = TabularModel(SPEC)
+        stored = model.logit_rows
+        for bad in (np.nan, -np.inf):
+
+            def one_bad_row(contexts, uncond=False):
+                logits = Logits.__new__(Logits)
+                logits.values = stored(contexts, uncond).values.copy()
+                logits.values[-1] = bad
+                return logits
+
+            monkeypatch.setattr(model, "logit_rows", one_bad_row)
+            sampler = TargetSampler(model, SamplingParams(top_k=2, top_p=0.9))
+            ids = np.array([sampler.context([token]) for token in range(3)])
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+                sampler.rows(ids)
 
 
 class TestEnumerate:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specjac.rng import RandomSource, derive_keys, uniforms_at
+from specjac.rng import NORMAL_BOUND, RandomSource, derive_keys, normals_of, uniforms_at
 
 
 def test_same_seed_same_stream():
@@ -88,6 +88,13 @@ def test_substreams_are_statistically_independent():
     assert abs(y.mean() - 0.5) < 5 * sigma
 
 
+def test_normals_stay_within_the_bound():
+    # the extreme uniforms map to exactly -+NORMAL_BOUND; configuration
+    # checks bound the processed logits by it
+    assert normals_of(np.array([0.0, 1.0 - 2.0**-53])).tolist() == [-NORMAL_BOUND, NORMAL_BOUND]
+    assert np.abs(RandomSource(3).normals(100000)).max() < NORMAL_BOUND
+
+
 class TestBatchedKeys:
     # keys near 2**64 make every add and multiply of the mix wrap
     KEYS = [0, 1, 12345, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
@@ -97,10 +104,13 @@ class TestBatchedKeys:
             warnings.simplefilter("error")  # no numpy RuntimeWarning on overflow
             keys = derive_keys(np.array(self.KEYS, dtype=np.uint64), "draft", 7, "x")
             indexed = derive_keys(2**64 - 1, "trial", np.arange(5))
+            signed = derive_keys(7, np.array([-1, 0, 3]))
         for key, got in zip(self.KEYS, keys.tolist()):
             assert got == RandomSource.from_key(key).derive("draft", 7, "x").key
         source = RandomSource.from_key(2**64 - 1)
         assert indexed.tolist() == [source.derive("trial", k).key for k in range(5)]
+        # negative array entries fold in modulo 2**64, as int parts do
+        assert signed.tolist() == [RandomSource.from_key(7).derive(k).key for k in (-1, 0, 3)]
 
     def test_uniforms_at_equal_scalar_draws(self):
         with warnings.catch_warnings():
