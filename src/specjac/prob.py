@@ -1,6 +1,7 @@
 """Exact arithmetic over finite categorical distributions.
 
-Distributions are plain normalized vectors over a token vocabulary; all
+Distributions are plain normalized vectors over a token vocabulary (a
+matrix holds one per row, for building many target laws at once); all
 operations here are pure functions of their inputs.  Everything downstream
 (couplers, decoders, the oracle) reasons in terms of these objects, so the
 invariants enforced at construction time (non-negative entries, unit mass)
