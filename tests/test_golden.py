@@ -6,8 +6,10 @@ criterion 10.  The others cover what those miss: per-trial rows at V=16
 (the flat regime of ``benchmarks/configs/flat.yaml``, spelled out as
 overrides), the redraft rejection convention, guided and top-k truncated
 target laws (zero-probability tokens), a V=64 order-3 flatness sweep, a
-nucleus (top-p) law at temperature 0.7 under guidance, and an order-0 model
-(one context, the same law at every position).
+nucleus (top-p) law at temperature 0.7 under guidance, an order-0 model
+(one context, the same law at every position), an order-1 model (a context
+is the last token alone) and an order longer than the sequence (every
+context still holds BOS).
 A refactor that keeps behaviour keeps every draw, stream key, float format
 and CSV column, so these bytes must not move.  Regenerate a golden file
 only with a change that states and justifies its new stream layout.
@@ -61,6 +63,14 @@ COMMANDS = {
     "generate-order0.csv": [
         "generate", "--model.context_order", "0", "--model.vocab_size", "8",
         "--decode.coupler", "independent", "--run.trials", "25",
+    ],
+    "generate-order1-maximal.csv": [
+        "generate", "--model.context_order", "1", "--model.vocab_size", "5",
+        "--decode.coupler", "maximal", "--run.trials", "30",
+    ],
+    "verify-lossless-order5.csv": [
+        "verify-lossless", "--model.context_order", "5", "--model.vocab_size", "3",
+        "--decode.length", "3", "--decode.window", "2", "--run.trials", "2000",
     ],
 }
 
