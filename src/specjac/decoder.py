@@ -200,11 +200,7 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, stats):
                                dkeys[rb, rj], noise[rb, rj])
 
         # Evaluate every window in one parallel model call per trial.
-        cid = np.zeros_like(tok)
-        cid[:, 0] = ctx
-        for j in range(1, int(width.max())):
-            reach = slice(None) if j < width.min() else width > j
-            cid[reach, j] = sampler.next_ctx(cid[reach, j - 1], tok[reach, j - 1])
+        cid = sampler.window_ctx(ctx, tok[:, :-1])  # junk past a trial's width
         wb, wj = np.nonzero(in_win)
         ev = np.zeros_like(tok)
         ev[wb, wj] = sampler.rows(cid[wb, wj])

@@ -70,6 +70,9 @@ class ModelSpec:
             raise ValueError("vocab_size: must be >= 2")
         if self.context_order < 0:
             raise ValueError("context_order: must be >= 0")
+        # context codes are int64 (TargetSampler); (vocab_size + 1) ** 63 >= 2**63 already
+        if (self.vocab_size + 1) ** min(self.context_order, 63) >= 2**63:
+            raise ValueError("context_order: (vocab_size + 1) ** context_order must be < 2**63")
         if not self.flatness > 0:  # also rejects NaN
             raise ValueError("flatness: must be positive")
 
@@ -135,10 +138,12 @@ class TargetSampler:
     """The target law at every position: guidance mix plus processors.
 
     This is the distribution every decoder must reproduce; losslessness is
-    defined relative to it.  It is a row table over context ids: an id names
-    one ``context_key``, ``next_ctx`` moves ids on by one token, and
-    ``rows`` maps ids to rows of ``probs`` / ``cdf``, built on first use,
-    all missing rows of a call in one bulk build.
+    defined relative to it.  It is a row table over context codes: the code
+    of a ``context_key`` is its base-(V+1) number, digit 0 for BOS and digit
+    t + 1 for token t, so ``next_ctx`` and ``window_ctx`` compute codes with
+    array arithmetic.  ``rows`` maps codes to rows of ``probs`` / ``cdf``
+    through one sorted-code lookup; rows are built on first use, all missing
+    rows of a call in one bulk build.
     Row ``UNIFORM_ROW`` is the uniform law (the Jacobi draft initializer).
     One table serves every trial of a model and sampling configuration.
     """
@@ -148,69 +153,77 @@ class TargetSampler:
     def __init__(self, model: TabularModel, sampling: SamplingParams):
         self.model = model
         self.sampling = sampling
-        self._ids: dict[tuple[int, ...], int] = {}
-        self._keys: list[tuple[int, ...]] = []
-        self._next = np.full((16, model.vocab_size), -1, dtype=np.int32)  # id x token
-        self._row = np.full(16, -1)  # context id -> row, -1 until built
-        self.probs = np.empty((16, model.vocab_size))
-        self.cdf = np.empty_like(self.probs)
+        self._base = model.vocab_size + 1
+        # place value of each digit of a code, most significant first
+        self._place = self._base ** np.arange(model.spec.context_order, dtype=np.int64)[::-1]
+        # sorted codes of built rows, closed by a sentinel above every code; the row of each
+        self._codes, self._code_rows = np.array([np.iinfo(np.int64).max]), np.array([-1])
+        self.probs, self.cdf = np.empty((2, 256, model.vocab_size))
         self._rows = 0
         self._add_rows(Categorical.uniform(model.vocab_size).probs[None])
 
     def _add_rows(self, block: np.ndarray) -> range:
-        new = range(self._rows, self._rows + len(block))
-        while new.stop > len(self.probs):  # full: double the tables
-            self.probs = np.concatenate([self.probs, np.empty_like(self.probs)])
-            self.cdf = np.concatenate([self.cdf, np.empty_like(self.cdf)])
+        used = self._rows
+        new = range(used, used + len(block))
+        if new.stop > len(self.probs):  # full: at least double, one copy of the used rows
+            grown = np.empty((2, max(2 * len(self.probs), new.stop), self.model.vocab_size))
+            grown[0, :used], grown[1, :used] = self.probs[:used], self.cdf[:used]
+            self.probs, self.cdf = grown
         self.probs[new.start : new.stop] = block
         np.cumsum(block, axis=1, out=self.cdf[new.start : new.stop])
         self._rows = new.stop
         return new
 
-    def _intern(self, key: tuple[int, ...]) -> int:
-        cid = self._ids.get(key)
-        if cid is None:
-            cid = self._ids[key] = len(self._keys)
-            self._keys.append(key)
-            if cid == len(self._row):  # full: double the tables
-                self._next = np.concatenate([self._next, np.full_like(self._next, -1)])
-                self._row = np.concatenate([self._row, np.full_like(self._row, -1)])
-        return cid
+    def _digits(self, codes: np.ndarray) -> np.ndarray:
+        """``(..., context_order)`` digits of each code, most significant first."""
+        return codes[..., None] // self._place % self._base
 
     def context(self, prefix: Sequence[int]) -> int:
-        """Context id of the position after ``prefix``."""
-        return self._intern(self.model.context_key(prefix))
+        """Context code of the position after ``prefix``."""
+        code = 0
+        for token in self.model.context_key(prefix):
+            code = code * self._base + token + 1
+        return code
 
     def next_ctx(self, ids: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        """Context ids after appending ``tokens[i]`` to context ``ids[i]``."""
-        out = self._next[ids, tokens]
-        if out.size and out.min() < 0:
-            missing, order = out < 0, self.model.spec.context_order
-            for cid, token in zip(ids[missing].tolist(), tokens[missing].tolist()):
-                key = self._keys[cid][1:] + (token,) if order else ()
-                self._next[cid, token] = self._intern(key)
-            out = self._next[ids, tokens]
-        return out
+        """Context codes after appending ``tokens[i]`` to context ``ids[i]``."""
+        if not len(self._place):
+            return np.zeros_like(ids)
+        return ids % self._place[0] * self._base + tokens + 1
+
+    def window_ctx(self, ctx: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """``(B, W)`` context codes of B windows: column j is the code of
+        context ``ctx[i]`` followed by ``tokens[i, :j]``, for a ``(B, W - 1)``
+        token matrix."""
+        width = tokens.shape[1] + 1
+        digits = np.concatenate([self._digits(ctx), tokens + 1], axis=1)
+        codes = np.zeros((len(ctx), width), dtype=np.int64)
+        for i in range(len(self._place)):
+            codes = codes * self._base + digits[:, i : i + width]
+        return codes
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Row of the target law of each context id, built on first use.
+        """Row of the target law of each context code, built on first use.
 
         The missing rows are built together: their logits in one matrix,
         then the guidance mix and the processors row by row.
         """
-        out = self._row[ids]
-        if out.size and out.min() < 0:
-            missing = np.unique(ids[out < 0])
-            contexts = np.array([self._keys[cid] for cid in missing.tolist()], dtype=np.int64)
+        at = self._codes.searchsorted(ids)
+        miss = self._codes[at] != ids
+        if miss.any():
+            missing = np.unique(ids[miss])
+            contexts = self._digits(missing) - 1  # digit 0 is BOS
             model, sampling = self.model, self.sampling
             logits = model.logit_rows(contexts)
             if sampling.cfg_scale > 0:
                 uncond = model.logit_rows(contexts, uncond=True)
                 logits = mix_cfg(logits, uncond, sampling.cfg_scale)
             dists = apply_processors(logits, sampling.temperature, sampling.top_k, sampling.top_p)
-            self._row[missing] = self._add_rows(dists.probs)
-            out = self._row[ids]
-        return out
+            where = self._codes.searchsorted(missing)
+            self._codes = np.insert(self._codes, where, missing)
+            self._code_rows = np.insert(self._code_rows, where, self._add_rows(dists.probs))
+            at = self._codes.searchsorted(ids)
+        return self._code_rows[at]
 
     def categorical(self, row: int) -> Categorical:
         """Row ``row`` as a :class:`Categorical` (a read-only view)."""

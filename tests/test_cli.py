@@ -13,6 +13,7 @@ import pytest
 from specjac.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, write_csv, write_reports
 from specjac.config import build_config, load_config_file
 from specjac.errors import ConfigError
+import specjac
 from specjac import oracle
 
 
@@ -80,6 +81,8 @@ class TestConfig:
             ("sampling.cfg_scale", "nan"), ("sampling.cfg_scale", "inf"),
             ("sampling.temperature", "1e-320"), ("model.flatness", "1e-320"),
             ("sampling.cfg_scale", "1e308", "model.flatness", "0.5"),
+            # context codes, (vocab_size + 1) ** context_order, must fit in int64
+            ("model.context_order", "40", "model.vocab_size", "2"),
         ):
             overrides = dict(zip([path, *other[::2]], [value, *other[1::2]]))
             with pytest.raises(ConfigError, match=path):
@@ -374,11 +377,15 @@ class TestSweep:
 
 def test_console_entrypoint_smoke(tmp_path):
     out = tmp_path / "gen.csv"
+    # the child imports the specjac under test, installed or not
+    src = os.path.dirname(os.path.dirname(specjac.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "specjac.cli", "generate",
          "--run.trials", "3", "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

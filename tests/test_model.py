@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specjac.decoder import CouplerKind, decode_sjd
 from specjac.errors import BudgetError
 from specjac.model import (
     BOS,
@@ -168,6 +169,62 @@ class TestTargetSampler:
         row_a, row_b = sampler.rows(np.array([a, b])).tolist()
         assert row_a == row_b != TargetSampler.UNIFORM_ROW
         assert sampler.next_ctx(np.array([sampler.context([1])]), np.array([2]))[0] == a
+
+
+
+class TestContextCodes:
+    """A context id is the base-(V+1) code of the ``context_key``: digit 0
+    for BOS, digit t + 1 for token t."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vocab=st.integers(2, 64),
+        order=st.integers(0, 4),
+        prefixes=st.lists(st.lists(st.integers(0, 63), max_size=6), min_size=1, max_size=8),
+        token=st.integers(0, 63),
+        cfg_scale=st.sampled_from([0.0, 1.5]),
+        data=st.data(),
+    )
+    def test_codes_match_context_keys(self, vocab, order, prefixes, token, cfg_scale, data):
+        # prefixes shorter than the order are BOS-padded
+        model = TabularModel(ModelSpec(vocab, order, seed=3))
+        sampling = SamplingParams(cfg_scale=cfg_scale)
+        sampler = TargetSampler(model, sampling)
+        prefixes = [[t % vocab for t in prefix] for prefix in prefixes]
+        token %= vocab
+        codes = np.array([sampler.context(prefix) for prefix in prefixes], dtype=np.int64)
+        keys = [model.context_key(prefix) for prefix in prefixes]
+        assert all(0 <= code < (vocab + 1) ** order for code in codes.tolist())
+        stepped = sampler.next_ctx(codes, np.full(len(codes), token))
+        assert stepped.tolist() == [sampler.context(prefix + [token]) for prefix in prefixes]
+        for a, b in itertools.product(range(len(keys)), repeat=2):
+            assert (codes[a] == codes[b]) == (keys[a] == keys[b])
+
+        # the window chain equals the column-by-column next_ctx chain
+        width = data.draw(st.integers(1, 6))
+        window = np.array(
+            data.draw(st.lists(
+                st.lists(st.integers(0, vocab - 1), min_size=width - 1, max_size=width - 1),
+                min_size=len(codes), max_size=len(codes),
+            )),
+            dtype=np.int64,
+        ).reshape(len(codes), width - 1)
+        chain, column = sampler.window_ctx(codes, window), codes
+        assert chain.shape == (len(codes), width)
+        for j in range(width):
+            assert chain[:, j].tolist() == column.tolist()
+            if j + 1 < width:
+                column = sampler.next_ctx(column, window[:, j])
+
+        # rows built from decoded codes equal the target law on the keys
+        contexts = np.array(keys, dtype=np.int64).reshape(len(keys), order)
+        logits = model.logit_rows(contexts)
+        if cfg_scale:
+            logits = mix_cfg(logits, model.logit_rows(contexts, uncond=True), cfg_scale)
+        expected = apply_processors(logits, 1.0, None, None).probs
+        for row, law in zip(sampler.rows(codes).tolist(), expected):
+            assert sampler.probs[row].tobytes() == law.tobytes()
+            assert sampler.cdf[row].tobytes() == np.cumsum(law).tobytes()
 
 
 def _one_law_processors(values, temperature, top_k, top_p):
@@ -352,3 +409,19 @@ class TestModelSpecValidation:
             ModelSpec(vocab_size=4, flatness=math.nan)
         with pytest.raises(ValueError):
             ModelSpec(vocab_size=4, context_order=-1)
+
+    def test_context_codes_must_fit_int64(self):
+        # codes of order k are below (vocab_size + 1) ** k; 3**40 > 2**63 > 3**39
+        with pytest.raises(ValueError, match="context_order"):
+            ModelSpec(vocab_size=2, context_order=40)
+        spec = ModelSpec(vocab_size=2, context_order=39)
+        model = TabularModel(spec)
+        sampler = TargetSampler(model, SamplingParams())
+        top = sampler.context([1] * 39)
+        assert top == 3**39 - 1
+        assert sampler.next_ctx(np.array([top]), np.array([1]))[0] == top
+        # 45 tokens: the last contexts hold no BOS digit
+        tokens, stats = decode_sjd(
+            model, SamplingParams(), 45, 8, CouplerKind.MAXIMAL, RandomSource(2), sampler=sampler
+        )
+        assert len(tokens) == 45 and set(tokens) <= {0, 1} and stats.nfe <= 45
