@@ -10,10 +10,10 @@ import threading
 import numpy as np
 import pytest
 
+import specjac
 from specjac.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, write_csv, write_reports
 from specjac.config import build_config, load_config_file
 from specjac.errors import ConfigError
-import specjac
 from specjac import oracle
 
 

@@ -171,7 +171,6 @@ class TestTargetSampler:
         assert sampler.next_ctx(np.array([sampler.context([1])]), np.array([2]))[0] == a
 
 
-
 class TestContextCodes:
     """A context id is the base-(V+1) code of the ``context_key``: digit 0
     for BOS, digit t + 1 for token t."""
