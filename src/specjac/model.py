@@ -242,8 +242,9 @@ class TargetSampler:
         strictly before j, so the result equals ``len(window)`` sequential
         ``dist`` calls on the corresponding prefixes.
         """
-        ids = [self.context([*context, *window[:j]]) for j in range(len(window))]
-        return [self.categorical(row) for row in self.rows(np.array(ids, dtype=np.int64))]
+        tokens = np.array([window[:-1]], dtype=np.int64)
+        ids = self.window_ctx(np.array([self.context(context)]), tokens)[0, : len(window)]
+        return [self.categorical(row) for row in self.rows(ids)]
 
 
 def enumerate_sequence_distribution(
