@@ -6,10 +6,11 @@ criterion 10.  The others cover what those miss: per-trial rows at V=16
 (the flat regime of ``benchmarks/configs/flat.yaml``, spelled out as
 overrides), the redraft rejection convention, guided and top-k truncated
 target laws (zero-probability tokens), a V=64 order-3 flatness sweep, a
-nucleus (top-p) law at temperature 0.7 under guidance, an order-0 model
-(one context, the same law at every position), an order-1 model (a context
-is the last token alone) and an order longer than the sequence (every
-context still holds BOS).
+nucleus (top-p) law at temperature 0.7 under guidance (also under the
+redraft convention, so maximal redraft residuals meet masked rows), an
+order-0 model (one context, the same law at every position), an order-1
+model (a context is the last token alone) and an order longer than the
+sequence (every context still holds BOS).
 A refactor that keeps behaviour keeps every draw, stream key, float format
 and CSV column, so these bytes must not move.  Regenerate a golden file
 only with a change that states and justifies its new stream layout.
@@ -59,6 +60,10 @@ COMMANDS = {
     ],
     "generate-flat-nucleus.csv": [
         "generate", *FLAT, *NUCLEUS, "--run.trials", "10", "--decode.coupler", "maximal",
+    ],
+    "generate-flat-nucleus-redraft.csv": [
+        "generate", *FLAT, *NUCLEUS, "--run.trials", "10", "--decode.coupler", "maximal",
+        "--decode.redraft", "true",
     ],
     "generate-order0.csv": [
         "generate", "--model.context_order", "0", "--model.vocab_size", "8",
