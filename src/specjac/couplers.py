@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, ZeroMassError
 from .prob import Categorical, residual_distribution, tv_distance
 from .rng import RandomSource
 
@@ -62,6 +62,21 @@ def mrs_accepts(u: np.ndarray, p_x: np.ndarray, q_x: np.ndarray) -> np.ndarray:
     """Accept tests of many :func:`mrs` steps with first uniforms ``u``.
     Strict, as in ``mrs``: u == 0 rejects a token with p(x) == 0."""
     return u < p_x / q_x
+
+
+def mrs_residual_rows(
+    probs: np.ndarray, p_rows: np.ndarray, q_rows: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Residual tokens of many rejecting :func:`mrs` steps: entry i maps its
+    second uniform ``u[i]`` through the normalized positive part of
+    ``probs[p_rows[i]] - probs[q_rows[i]]``, as ``mrs`` does for one law.
+    Raises :class:`ZeroMassError` when a row has p == q."""
+    pos = np.maximum(probs[p_rows] - probs[q_rows], 0.0)
+    mass = pos.sum(axis=1, keepdims=True)
+    if (mass <= 0.0).any():
+        raise ZeroMassError("residual of identical distributions has zero mass")
+    residual = pos / mass
+    return inverse_cdf_rows(residual, residual.cumsum(axis=1), np.arange(len(u)), u)
 
 
 def sample_independent(dist: Categorical, rng: RandomSource) -> int:

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
 
-from .couplers import gumbel_argmax, gumbel_from_uniform, inverse_cdf_rows, mrs, mrs_accepts
+from .couplers import (
+    gumbel_argmax, gumbel_from_uniform, inverse_cdf_rows, mrs, mrs_accepts, mrs_residual_rows,
+)
 from .model import SamplingParams, TabularModel, TargetSampler, TokenSequence
 from .rng import RandomSource, derive_keys, uniforms_at
 
@@ -211,7 +213,7 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, stats):
             betas = record_beta(probs[ev[sb, sj]], probs[drow[sb, sj]])
 
         # Verify in order until the first rejection; one scalar residual
-        # draw per rejecting trial.
+        # draw per rejecting trial, through ``decoder.mrs`` (see _residuals).
         x = tok[wb, wj]
         accept = np.ones_like(in_win)
         accept[wb, wj] = mrs_accepts(
@@ -266,20 +268,26 @@ def _redraft(sampler, coupler, rows, prev_rows, prev_tokens, keys, noise):
         return inverse_cdf_rows(probs, sampler.cdf, rows, uniforms_at(keys, 1))
     if coupler is CouplerKind.GUMBEL:
         return gumbel_argmax(probs[rows], noise)
-    # maximal: modified rejection sampling of the previous draft
+    # maximal: modified rejection sampling of the previous draft; rejected
+    # slots draw their residual row-wise on the second uniform, as mrs would
     drafts = prev_tokens.copy()
     reject = ~mrs_accepts(
         uniforms_at(keys, 1), probs[rows, prev_tokens], probs[prev_rows, prev_tokens]
     )
-    drafts[reject] = _residuals(
-        sampler, rows[reject], prev_rows[reject], prev_tokens[reject], keys[reject]
+    drafts[reject] = mrs_residual_rows(
+        probs, rows[reject], prev_rows[reject], uniforms_at(keys[reject], 2)
     )
     return drafts
 
 
 def _residuals(sampler, p_rows, q_rows, tokens, keys) -> np.ndarray:
-    """Outputs of rejecting :func:`mrs` steps, one scalar call each on the
-    slot's own stream (its first draw repeats the vectorised accept test)."""
+    """Outputs of rejecting verify steps, one scalar :func:`mrs` call each on
+    the slot's own stream (its first draw repeats the vectorised accept test).
+
+    Verify-only: redraft residuals go through :func:`mrs_residual_rows`.
+    The scalar call stays because mutation checks of the losslessness gate
+    (acceptance criterion 11, the benchmark's self-test) patch
+    ``decoder.mrs`` with a scalar signature."""
     return np.array([
         mrs(sampler.categorical(p), sampler.categorical(q), x, RandomSource.from_key(k)).token
         for p, q, x, k in zip(p_rows.tolist(), q_rows.tolist(), tokens.tolist(), keys.tolist())

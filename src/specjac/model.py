@@ -219,9 +219,14 @@ class TargetSampler:
                 uncond = model.logit_rows(contexts, uncond=True)
                 logits = mix_cfg(logits, uncond, sampling.cfg_scale)
             dists = apply_processors(logits, sampling.temperature, sampling.top_k, sampling.top_p)
-            where = self._codes.searchsorted(missing)
-            self._codes = np.insert(self._codes, where, missing)
-            self._code_rows = np.insert(self._code_rows, where, self._add_rows(dists.probs))
+            # merge: new codes land at their sorted slots, old ones fill the rest
+            slot = self._codes.searchsorted(missing) + np.arange(len(missing))
+            old = np.ones(len(self._codes) + len(missing), dtype=bool)
+            old[slot] = False
+            codes, code_rows = np.empty((2, len(old)), dtype=np.int64)
+            codes[slot], code_rows[slot] = missing, self._add_rows(dists.probs)
+            codes[old], code_rows[old] = self._codes, self._code_rows
+            self._codes, self._code_rows = codes, code_rows
             at = self._codes.searchsorted(ids)
         return self._code_rows[at]
 

@@ -13,7 +13,7 @@ from scipy.stats import ttest_rel
 
 import specjac.decoder as decoder_mod
 from specjac.cli import EXIT_OK, main
-from specjac.couplers import MrsOutcome, mrs, mrs_joint_distribution
+from specjac.couplers import MrsOutcome, inverse_cdf_rows, mrs, mrs_joint_distribution
 from specjac.decoder import CouplerKind, decode_trials, trial_keys
 from specjac.model import ModelSpec, SamplingParams, TabularModel, TargetSampler
 from specjac.oracle import (
@@ -330,3 +330,32 @@ def test_criterion_11_mutation_detection(monkeypatch):
     _verdict(11, "mutation detection", ok,
              f"vanilla still green={vanilla_ok}, corrupted coupler flagged="
              f"{corrupted_detected} (gof p={by_name['lossless.gof.maximal'].value:.2e})")
+
+
+def test_criterion_11_gate_flags_a_row_wise_redraft_residual_drawn_from_p(monkeypatch):
+    """Criterion 11's suite on a defect of the row-wise redraft residuals,
+    which no longer pass through ``decoder.mrs``: a classic MRS bug that
+    draws the residual from p itself instead of the normalized (p - q)+."""
+
+    def residual_from_p(probs, p_rows, q_rows, u):
+        p = probs[p_rows]
+        return inverse_cdf_rows(p, p.cumsum(axis=1), np.arange(len(u)), u)
+
+    monkeypatch.setattr(decoder_mod, "mrs_residual_rows", residual_from_p)
+    model = TabularModel(DESK_MODEL)
+    reports = run_lossless_suite(
+        model, SAMPLING, DESK_N, DESK_WINDOW, DESK_TRIALS,
+        RandomSource(MASTER_SEED).derive("lossless"),
+        conventions=(False,), couplers=(CouplerKind.MAXIMAL,),
+    )
+    by_name = {r.name: r for r in reports}
+    vanilla_ok = (
+        by_name["lossless.tv.vanilla"].passed and by_name["lossless.gof.vanilla"].passed
+    )
+    corrupted_detected = not (
+        by_name["lossless.tv.maximal"].passed and by_name["lossless.gof.maximal"].passed
+    )
+    assert vanilla_ok and corrupted_detected, (
+        f"vanilla still green={vanilla_ok}, corrupted coupler flagged={corrupted_detected} "
+        f"(gof p={by_name['lossless.gof.maximal'].value:.2e})"
+    )

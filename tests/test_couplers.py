@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -18,10 +18,11 @@ from specjac.couplers import (
     mrs,
     mrs_accepts,
     mrs_joint_distribution,
+    mrs_residual_rows,
     sample_gumbel_noise,
     sample_independent,
 )
-from specjac.errors import BudgetError
+from specjac.errors import BudgetError, ZeroMassError
 from specjac.prob import Categorical, softmax
 from specjac.rng import RandomSource
 
@@ -331,3 +332,58 @@ class TestBatchedPrimitives:
         got = mrs_accepts(np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.2, 0.2]),
                           np.array([0.5, 0.5, 0.4]))
         assert got.tolist() == [False, True, False]
+
+    @settings(max_examples=200, deadline=None)
+    @given(vocab=st.integers(2, 64), pairs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           masked=st.floats(0.0, 0.9), drift=st.booleans(),
+           interior=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(vocab=11, pairs=0, seed=0, masked=0.0, drift=False, interior=0.5)
+    def test_residual_rows_equal_scalar_mrs(self, vocab, pairs, seed, masked, drift, interior):
+        # rows 2r and 2r + 1 of one table are pair r's p and q; a ``masked``
+        # share of entries is zero, ties copy p into q, and with ``drift``
+        # every row is scaled so its cumulative sum ends below 1.  The
+        # example (pairs=0) is a residual whose cdf ends below 1 - 2**-53.
+        if pairs:
+            gen = np.random.default_rng(seed)
+            probs = gen.random((2 * pairs, vocab)) * (gen.random((2 * pairs, vocab)) >= masked)
+            ties = gen.random((pairs, vocab)) < 0.3
+            probs[1::2][ties] = probs[0::2][ties]
+            probs[np.arange(2 * pairs), gen.integers(vocab, size=2 * pairs)] += 0.5
+        else:
+            probs = np.array([[0.05] * 10 + [0.0], [0.0] * 10 + [1.0]])
+        probs /= probs.sum(axis=1, keepdims=True)
+        if drift:
+            probs *= 1.0 - 2.0**-50
+        p_rows, q_rows, tokens = [], [], []
+        for p, q in zip(range(0, len(probs), 2), range(1, len(probs), 2)):
+            rejecting = np.flatnonzero(probs[p] < probs[q])
+            if rejecting.size:  # p == q rows never reject
+                p_rows.append(p)
+                q_rows.append(q)
+                tokens.append(int(rejecting[0]))
+        for u in (0.0, interior, 1.0 - 2.0**-53):
+            got = mrs_residual_rows(probs, np.array(p_rows, dtype=np.int64),
+                                    np.array(q_rows, dtype=np.int64), np.full(len(p_rows), u))
+            for token, p, q, x in zip(got.tolist(), p_rows, q_rows, tokens, strict=True):
+                stream = _Scripted(1.0 - 2.0**-53, u)  # the first draw rejects x
+                out = mrs(Categorical._from_normalized(probs[p]),
+                          Categorical._from_normalized(probs[q]), x, stream)
+                assert out == MrsOutcome(False, token)
+                assert probs[p, token] > probs[q, token]  # positive residual mass
+
+    def test_residual_rows_raise_on_identical_rows(self):
+        probs = np.array([[0.25, 0.75], [0.5, 0.5], [0.25, 0.75]])
+        u = np.array([0.3, 0.3])
+        assert mrs_residual_rows(probs, np.array([0, 1]), np.array([1, 0]), u).tolist() == [1, 0]
+        with pytest.raises(ZeroMassError):
+            mrs_residual_rows(probs, np.array([1, 0]), np.array([0, 2]), u)
+
+
+class _Scripted:
+    """A stream that returns the given uniforms in order."""
+
+    def __init__(self, *draws: float):
+        self._draws = list(draws)
+
+    def draw_uniform01(self) -> float:
+        return self._draws.pop(0)
