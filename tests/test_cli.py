@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import specjac
+import specjac.decoder as decoder_mod
 from specjac.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, write_csv, write_reports
 from specjac.config import build_config, load_config_file
 from specjac.errors import ConfigError
@@ -167,6 +168,26 @@ class TestGenerate:
             "generate", "--run.trials", "2", "--out", str(tmp_path / "no" / "dir.csv"),
         ])
         assert code == EXIT_IO
+
+
+CHUNKED = [
+    "--model.vocab_size", "16", "--model.flatness", "4.0", "--model.seed", "5",
+    "--decode.length", "24", "--decode.window", "6", "--run.trials", "10",
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", *CHUNKED, "--decode.coupler", "maximal"],
+    ["generate", *CHUNKED, "--decode.coupler", "maximal", "--decode.redraft", "true"],
+    ["sweep", *CHUNKED, "--axis", "coupler", "--values", "vanilla,independent,maximal,gumbel"],
+], ids=["generate", "generate-redraft", "sweep-coupler"])
+def test_trial_chunks_keep_output_bytes(argv, tmp_path, monkeypatch):
+    # 10 trials in chunks of 3 cross every chunk boundary of the engine
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    assert main(argv + ["--out", str(whole)]) == EXIT_OK
+    monkeypatch.setattr(decoder_mod, "TRIAL_CHUNK", 3)
+    assert main(argv + ["--out", str(chunked)]) == EXIT_OK
+    assert chunked.read_bytes() == whole.read_bytes()
 
 
 class TestAtomicWrites:

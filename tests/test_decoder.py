@@ -191,6 +191,13 @@ class TestLockstepBatch:
         bare, none = decode_trials(sampler, n, keys, coupler, window, redraft, stats=False)
         assert np.array_equal(bare, tokens) and none == []
 
+    @pytest.mark.parametrize("coupler", [None, CouplerKind.MAXIMAL])
+    def test_zero_keys(self, coupler):
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
+        tokens, stats = decode_trials(sampler, 5, np.empty(0, np.uint64), coupler, 4)
+        assert tokens.shape == (0, 5)
+        assert len(stats) == 0
+
     def test_one_key_calls_are_decode_sjd_and_decode_vanilla(self):
         model = TabularModel(FLAT_SPEC)
         sampler = TargetSampler(model, SamplingParams())
