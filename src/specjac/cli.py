@@ -218,7 +218,7 @@ def write_reports(
 
 def _decode_all(
     config: ExperimentConfig, sampler: TargetSampler, master: RandomSource
-) -> tuple[np.ndarray, list[DecodeStats]]:
+) -> tuple[np.ndarray, DecodeStats]:
     """Decode every trial of ``config`` in one engine call."""
     decode = config.decode
     coupler = None if decode.coupler == "vanilla" else CouplerKind(decode.coupler)
@@ -232,21 +232,23 @@ def _decode_all(
     )
 
 
-def _aggregate(stats: Sequence[DecodeStats]) -> dict[str, float | None]:
-    """Means over trials; trials without a hamming or beta value are skipped."""
+def _aggregate(stats: DecodeStats, n: int) -> dict[str, float | None]:
+    """Means over trials of length ``n``; trials without a hamming or beta
+    value are skipped.  Every iteration is one model call, so a trial's
+    iterations are its NFE and it finalizes n / NFE tokens per iteration."""
 
     def mean(values) -> float | None:
         values = [v for v in values if v is not None]
         return float(np.mean(values)) if values else None
 
-    nfes = np.array([s.nfe for s in stats], dtype=np.float64)
+    nfes = stats.nfe.astype(np.float64)
     return {
         "nfe": float(nfes.mean()),
         "nfe_std": float(nfes.std()),
-        "iterations": mean(s.iterations for s in stats),
-        "accepted": mean(s.mean_finalized_per_iteration() for s in stats),
-        "hamming": mean(s.mean_hamming() for s in stats),
-        "beta": mean(s.mean_beta() for s in stats),
+        "iterations": float(nfes.mean()),
+        "accepted": float(np.mean(n / nfes)),
+        "hamming": mean(stats.mean_hamming()),
+        "beta": mean(stats.mean_beta()),
     }
 
 
@@ -265,18 +267,21 @@ def cmd_generate(config: ExperimentConfig) -> int:
     started = time.perf_counter()
 
     rows = []
-    sequences, all_stats = _decode_all(config, sampler, master)
-    for k, (sequence, stats) in enumerate(zip(sequences.tolist(), all_stats)):
+    sequences, stats = _decode_all(config, sampler, master)
+    finalized, ends = stats.finalized.tolist(), np.cumsum(stats.nfe).tolist()
+    trials = zip(sequences.tolist(), stats.nfe.tolist(), ends, stats.mean_hamming(),
+                 stats.mean_beta())
+    for k, (sequence, nfe, end, hamming, beta) in enumerate(trials):
         rows.append((
             f"trial-{k:06d}", fingerprint, config.run.seed, config.decode.coupler,
             config.decode.window, config.sampling.cfg_scale, config.model.flatness,
-            1, stats.nfe, None, stats.iterations,
-            "|".join(str(c) for c in stats.finalized_counts()),
-            stats.mean_hamming(), stats.mean_beta(),
+            1, nfe, None, nfe,
+            "|".join(str(c) for c in finalized[end - nfe : end]),
+            hamming, beta,
             " ".join(str(t) for t in sequence),
         ))
 
-    agg = _aggregate(all_stats)
+    agg = _aggregate(stats, config.decode.length)
     rows.append((
         "aggregate", fingerprint, config.run.seed, config.decode.coupler,
         config.decode.window, config.sampling.cfg_scale, config.model.flatness,
@@ -386,7 +391,7 @@ def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
         model = TabularModel(varied.model)
         sampler = TargetSampler(model, varied.sampling)
         # the k-th trial shares its master key across every sweep value
-        agg = _aggregate(_decode_all(varied, sampler, master)[1])
+        agg = _aggregate(_decode_all(varied, sampler, master)[1], varied.decode.length)
         rows.append((
             args.axis, value, varied.fingerprint(), varied.run.seed,
             varied.decode.coupler, varied.decode.window,

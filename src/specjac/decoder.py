@@ -14,7 +14,7 @@ streams, so a batch decodes each trial exactly as a one-trial call would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
@@ -37,42 +37,42 @@ class CouplerKind(Enum):
     GUMBEL = "gumbel"
 
 
-@dataclass
-class IterationRecord:
-    """Per-iteration decode statistics."""
-
-    finalized: int
-    hamming: int | None  # draft tokens changed vs previous iteration
-    compared: int  # positions present in both this and the previous window
-    betas: list[float] = field(default_factory=list)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DecodeStats:
-    """Accounting for one decode run."""
+    """Statistics of one decode run, as flat columns.
 
-    nfe: int = 0
-    total_tokens: int = 0
-    per_iteration: list[IterationRecord] = field(default_factory=list)
-    beta_trajectories: dict[int, list[float]] = field(default_factory=dict)
+    ``nfe`` has one entry per trial.  ``finalized`` (tokens finalized),
+    ``changed`` (draft tokens changed versus the previous iteration) and
+    ``compared`` (slots with a previous draft) have one entry per (trial,
+    iteration), trial-major in iteration order: trial i owns the next
+    ``nfe[i]`` entries.  ``betas`` has one entry per recorded analytic
+    acceptance rate, trial-major in (iteration, slot) order, with its trial
+    in ``beta_trials`` and its sequence position in ``beta_positions``.
+    """
 
-    @property
-    def iterations(self) -> int:
-        return len(self.per_iteration)
+    nfe: np.ndarray
+    finalized: np.ndarray
+    changed: np.ndarray
+    compared: np.ndarray
+    betas: np.ndarray
+    beta_trials: np.ndarray
+    beta_positions: np.ndarray
 
-    def finalized_counts(self) -> list[int]:
-        return [rec.finalized for rec in self.per_iteration]
+    def mean_hamming(self) -> list[float | None]:
+        """Per trial: mean draft tokens changed over the iterations with a
+        previous draft, None without one (sums of small counts are exact)."""
+        trial, seen = np.repeat(np.arange(len(self.nfe)), self.nfe), self.compared > 0
+        counts = np.bincount(trial, seen, len(self.nfe)).tolist()
+        sums = np.bincount(trial, np.where(seen, self.changed, 0), len(self.nfe)).tolist()
+        return [s / c if c else None for s, c in zip(sums, counts)]
 
-    def mean_finalized_per_iteration(self) -> float:
-        return self.total_tokens / len(self.per_iteration) if self.per_iteration else 0.0
-
-    def mean_hamming(self) -> float | None:
-        values = [rec.hamming for rec in self.per_iteration if rec.hamming is not None]
-        return float(np.mean(values)) if values else None
-
-    def mean_beta(self) -> float | None:
-        values = [b for rec in self.per_iteration for b in rec.betas]
-        return float(np.mean(values)) if values else None
+    def mean_beta(self) -> list[float | None]:
+        """Per trial: mean recorded beta, None without one.  ``np.mean`` of a
+        trial's contiguous slice sums pairwise in the order of a list of its
+        betas; segmented sums (``reduceat``, weighted ``bincount``) do not."""
+        bounds = np.searchsorted(self.beta_trials, np.arange(len(self.nfe) + 1)).tolist()
+        return [float(np.mean(self.betas[a:b])) if b > a else None
+                for a, b in zip(bounds, bounds[1:])]
 
 
 def record_beta(new_probs: np.ndarray, draft_probs: np.ndarray) -> np.ndarray:
@@ -106,7 +106,7 @@ def decode_trials(
     window: int = 1,
     redraft: bool = False,
     stats: bool = True,
-) -> tuple[np.ndarray, list[DecodeStats]]:
+) -> tuple[np.ndarray, DecodeStats | None]:
     """Decode one length-``n`` sequence per trial key, all trials in lockstep.
 
     ``keys[i]`` is the stream key of trial i's random source, and trial i
@@ -114,28 +114,40 @@ def decode_trials(
     None selects vanilla decoding; otherwise speculative Jacobi decoding
     with that draft coupler, ``window`` and rejection convention (see
     :func:`decode_sjd`).  Returns the (trials, n) token matrix and, when
-    ``stats`` is true, one :class:`DecodeStats` per trial (else an empty
-    list).  Trials run in chunks of ``TRIAL_CHUNK``.
+    ``stats`` is true, the run's :class:`DecodeStats` (else None).  Trials
+    run in chunks of ``TRIAL_CHUNK``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if window < 1:
         raise ValueError("window must be >= 1")
     keys = np.asarray(keys, dtype=np.uint64)
-    tokens, all_stats = np.empty((len(keys), n), dtype=np.int64), []
+    tokens = np.empty((len(keys), n), dtype=np.int64)
+    # per iteration: (trial, finalized, changed, compared) rows, the (trial,
+    # position) of each beta, and the betas; trial ids count across chunks
+    empty = (np.empty((4, 0), np.int64), np.empty((2, 0), np.int64), np.empty(0))
+    log = [empty] if stats else None
     for lo in range(0, len(keys), TRIAL_CHUNK):
         chunk, part = keys[lo : lo + TRIAL_CHUNK], slice(lo, lo + TRIAL_CHUNK)
         if coupler is None:
-            tokens[part], chunk_stats = _vanilla_chunk(sampler, n, chunk, stats)
+            tokens[part] = _vanilla_chunk(sampler, n, chunk)
         else:
-            tokens[part], chunk_stats = _sjd_chunk(
-                sampler, n, window, coupler, chunk, redraft, stats
-            )
-        all_stats.extend(chunk_stats)
-    return tokens, all_stats
+            tokens[part] = _sjd_chunk(sampler, n, window, coupler, chunk, redraft, log, lo)
+    if log is None:
+        return tokens, None
+    if coupler is None:  # one model call per token, which it finalizes
+        steps = np.zeros((4, len(keys) * n), np.int64)
+        steps[0], steps[1] = np.repeat(np.arange(len(keys)), n), 1
+        log.append((steps, *empty[1:]))
+    # trial-major: stable sorts keep each trial's entries in log order
+    steps, spots, betas = (np.concatenate(part, axis=-1) for part in zip(*log))
+    steps = steps[:, np.argsort(steps[0], kind="stable")]
+    order = np.argsort(spots[0], kind="stable")
+    nfe = np.bincount(steps[0], minlength=len(keys))
+    return tokens, DecodeStats(nfe, *steps[1:], betas[order], *spots[:, order])
 
 
-def _vanilla_chunk(sampler, n, keys, stats):
+def _vanilla_chunk(sampler, n, keys):
     token_keys = derive_keys(keys, "vanilla")
     ctx = np.full(len(keys), sampler.context(()))
     out = np.empty((len(keys), n), dtype=np.int64)
@@ -144,14 +156,13 @@ def _vanilla_chunk(sampler, n, keys, stats):
         out[:, i] = inverse_cdf_rows(sampler.probs, sampler.cdf, rows, u)
         if i + 1 < n:
             ctx = sampler.next_ctx(ctx, out[:, i])
-    return out, [
-        DecodeStats(n, n, [IterationRecord(1, None, 0) for _ in range(n)])
-        for _ in range(len(keys) if stats else 0)
-    ]
+    return out
 
 
-def _sjd_chunk(sampler, n, window, coupler, keys, redraft, stats):
+def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
     """Jacobi decoding of one chunk of trials in lockstep (shared iteration t).
+    With a ``log``, each iteration appends its statistics to it, naming the
+    chunk's trial i as the run's trial ``offset + i``.
 
     Slot state is window-relative: column j of row i is position
     ``start[i] + j`` of trial ``live[i]``; columns below ``made[i]`` hold
@@ -172,8 +183,6 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, stats):
     noise = np.zeros((count, window, vocab if coupler is CouplerKind.GUMBEL else 0))
     keyring = np.stack([derive_keys(keys, label) for label in ("draft", "verify", "gumbel")], 1)
     out = np.empty((count, n), dtype=np.int64)
-    records: list[list[IterationRecord]] = [[] for _ in range(count if stats else 0)]
-    trajectories: list[dict[int, list[float]]] = [{} for _ in range(count if stats else 0)]
 
     t = 0
     while len(live):
@@ -207,7 +216,7 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, stats):
         ev = np.zeros_like(tok)
         ev[wb, wj] = sampler.rows(cid[wb, wj])
         probs = sampler.probs
-        if stats:
+        if log is not None:
             changed, compared = record_hamming(tok, ptok, redo)
             sb, sj = np.nonzero(in_win & (drow != uniform))
             betas = record_beta(probs[ev[sb, sj]], probs[drow[sb, sj]])
@@ -241,8 +250,10 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, stats):
         slide = in_win & (cols > stop[:, None])
         ptok[slide], prow[slide], drow[slide] = tok[slide], drow[slide], ev[slide]
 
-        if stats:
-            _record(records, trajectories, live, start, done, changed, compared, sb, sj, betas)
+        if log is not None:
+            trial = offset + live
+            log.append((np.stack([trial, done, changed, compared]),
+                        np.stack([trial[sb], start[sb] + sj]), betas))
         start, made = start + done, width - done
         gb = np.flatnonzero((done > 0) & (start < n))
         ctx[gb] = sampler.next_ctx(cid[gb, done[gb] - 1], final[gb, done[gb] - 1])
@@ -254,11 +265,7 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, stats):
         if noise.shape[2]:
             noise = np.take_along_axis(noise[keep], shift[:, :, None], axis=1)
         t += 1
-
-    return out, [
-        DecodeStats(len(records[i]), n, records[i], trajectories[i])
-        for i in range(count if stats else 0)
-    ]
+    return out
 
 
 def _redraft(sampler, coupler, rows, prev_rows, prev_tokens, keys, noise):
@@ -294,19 +301,6 @@ def _residuals(sampler, p_rows, q_rows, tokens, keys) -> np.ndarray:
     ], dtype=np.int64)
 
 
-def _record(records, trajectories, live, start, done, changed, compared, sb, sj, betas):
-    """Append one IterationRecord per active trial and extend its beta
-    trajectories (betas arrive grouped by trial, window order within)."""
-    bounds = np.searchsorted(sb, np.arange(len(live) + 1)).tolist()
-    beta_list, beta_pos = betas.tolist(), (start[sb] + sj).tolist()
-    rows = zip(live.tolist(), done.tolist(), changed.tolist(), compared.tolist())
-    for i, (trial, fin, ch, cmp) in enumerate(rows):
-        trial_betas = beta_list[bounds[i] : bounds[i + 1]]
-        for position, beta in zip(beta_pos[bounds[i] : bounds[i + 1]], trial_betas):
-            trajectories[trial].setdefault(position, []).append(beta)
-        records[trial].append(IterationRecord(fin, ch if cmp else None, cmp, trial_betas))
-
-
 def decode_vanilla(
     model: TabularModel,
     sampling: SamplingParams,
@@ -322,7 +316,7 @@ def decode_vanilla(
     """
     sampler = sampler or TargetSampler(model, sampling)
     tokens, stats = decode_trials(sampler, n, np.array([rng.key], dtype=np.uint64))
-    return tuple(tokens[0].tolist()), stats[0]
+    return tuple(tokens[0].tolist()), stats
 
 
 def decode_sjd(
@@ -350,4 +344,4 @@ def decode_sjd(
     sampler = sampler or TargetSampler(model, sampling)
     keys = np.array([rng.key], dtype=np.uint64)
     tokens, stats = decode_trials(sampler, n, keys, coupler, window, redraft)
-    return tuple(tokens[0].tolist()), stats[0]
+    return tuple(tokens[0].tolist()), stats

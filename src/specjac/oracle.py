@@ -295,24 +295,21 @@ def coupling_bound_sweep(
 
 
 def hamming_nfe_correlation(
-    decode_fn: Callable[[np.ndarray], Sequence[DecodeStats]],
+    decode_fn: Callable[[np.ndarray], DecodeStats],
     runs: int,
     rng: RandomSource,
     threshold: float = 0.3,
     name: str = "hamming-nfe-correlation",
 ) -> TestReport:
     """Pearson correlation between per-run mean draft churn and per-run NFE;
-    ``decode_fn`` maps ``trial_keys(rng, runs)`` to one DecodeStats per run."""
+    ``decode_fn`` maps ``trial_keys(rng, runs)`` to the DecodeStats of the
+    runs; a run without a hamming value is skipped."""
     if runs < 100:
         raise ValueError("runs must be >= 100")
-    hammings = []
-    nfes = []
-    for stats in decode_fn(trial_keys(rng, runs)):
-        mean_h = stats.mean_hamming()
-        if mean_h is None:
-            continue
-        hammings.append(mean_h)
-        nfes.append(stats.nfe)
+    stats = decode_fn(trial_keys(rng, runs))
+    hammings = np.array(stats.mean_hamming(), dtype=np.float64)  # None reads NaN
+    seen = ~np.isnan(hammings)
+    hammings, nfes = hammings[seen], stats.nfe[seen]
     if len(hammings) < 2 or np.std(hammings) == 0.0 or np.std(nfes) == 0.0:
         return TestReport(
             name, 1.0, threshold, True, len(hammings),

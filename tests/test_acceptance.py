@@ -52,8 +52,7 @@ def _paired_nfe(model, sampling, n, window, couplers, runs, master):
     sampler = TargetSampler(model, sampling)
     keys = trial_keys(master, runs)  # run k decodes master.derive("trial", k)
     return {
-        c: np.array([s.nfe for s in decode_trials(sampler, n, keys, c, window)[1]],
-                    dtype=np.float64)
+        c: decode_trials(sampler, n, keys, c, window)[1].nfe.astype(np.float64)
         for c in couplers
     }
 
@@ -264,11 +263,9 @@ def test_criterion_09_beta_stabilization():
     master = RandomSource(99).derive("beta")
     pools = {}
     for coupler in (CouplerKind.MAXIMAL, CouplerKind.INDEPENDENT):
-        betas = []
-        for stats in decode_trials(sampler, FLAT_N, trial_keys(master, 100), coupler, 16)[1]:
-            for trajectory in stats.beta_trajectories.values():
-                betas.extend(trajectory)
-        pools[coupler] = np.array(betas)
+        pools[coupler] = decode_trials(
+            sampler, FLAT_N, trial_keys(master, 100), coupler, 16
+        )[1].betas
     mc, ind = pools[CouplerKind.MAXIMAL], pools[CouplerKind.INDEPENDENT]
     var_ok = mc.var() < ind.var()
     mean_ok = mc.mean() >= ind.mean()

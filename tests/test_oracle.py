@@ -9,7 +9,6 @@ from specjac.couplers import gs_couple, sample_gumbel_noise, sample_independent
 from specjac.decoder import (
     CouplerKind,
     DecodeStats,
-    IterationRecord,
     decode_trials,
     decode_vanilla,
 )
@@ -299,17 +298,18 @@ class TestCouplingBoundSweep:
 
 
 class TestHammingNfeCorrelation:
-    def _stats(self, hamming, nfe):
-        stats = DecodeStats(nfe=nfe, total_tokens=8)
-        stats.per_iteration.append(
-            IterationRecord(finalized=8, hamming=hamming, compared=8)
-        )
-        return stats
+    def _stats(self, hammings, nfes):
+        """Run k takes nfes[k] iterations, each changing hammings[k] of 8 slots."""
+        nfe = np.array(nfes)
+        steps = np.repeat(hammings, nfe)
+        none = np.zeros(0, np.int64)
+        return DecodeStats(nfe, np.ones_like(steps), steps, np.full_like(steps, 8),
+                           np.zeros(0), none, none)
 
     def test_perfect_correlation(self):
         def fn(keys):
             assert len(keys) == 100
-            return [self._stats(v, v) for v in range(len(keys))]
+            return self._stats(range(len(keys)), range(1, len(keys) + 1))
 
         report = hamming_nfe_correlation(fn, 100, RandomSource(23))
         assert report.passed
@@ -317,7 +317,7 @@ class TestHammingNfeCorrelation:
 
     def test_degenerate_statistics_skip(self):
         report = hamming_nfe_correlation(
-            lambda keys: [self._stats(3, 7) for _ in keys], 100, RandomSource(24)
+            lambda keys: self._stats([3] * len(keys), [7] * len(keys)), 100, RandomSource(24)
         )
         assert report.passed
         assert "skipped" in report.notes
