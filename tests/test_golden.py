@@ -9,8 +9,9 @@ target laws (zero-probability tokens), a V=64 order-3 flatness sweep, a
 nucleus (top-p) law at temperature 0.7 under guidance (also under the
 redraft convention, so maximal redraft residuals meet masked rows), an
 order-0 model (one context, the same law at every position), an order-1
-model (a context is the last token alone) and an order longer than the
-sequence (every context still holds BOS).
+model (a context is the last token alone), an order longer than the
+sequence (every context still holds BOS) and a window wider than the
+sequence under the redraft convention (BOS digits inside the window).
 A refactor that keeps behaviour keeps every draw, stream key, float format
 and CSV column, so these bytes must not move.  Regenerate a golden file
 only with a change that states and justifies its new stream layout.
@@ -76,6 +77,11 @@ COMMANDS = {
     "verify-lossless-order5.csv": [
         "verify-lossless", "--model.context_order", "5", "--model.vocab_size", "3",
         "--decode.length", "3", "--decode.window", "2", "--run.trials", "2000",
+    ],
+    "generate-wide-window-redraft.csv": [
+        "generate", "--model.vocab_size", "5", "--model.context_order", "3",
+        "--decode.length", "6", "--decode.window", "8", "--decode.coupler", "gumbel",
+        "--decode.redraft", "true", "--run.trials", "40",
     ],
 }
 

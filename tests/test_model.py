@@ -384,6 +384,30 @@ class TestEnumerate:
         with pytest.raises(BudgetError, match="reduce the vocabulary size or the length"):
             enumerate_sequence_distribution(TabularModel(SPEC), SamplingParams(), 13)
 
+    @pytest.mark.parametrize("spec, sampling, length", [
+        (SPEC, SamplingParams(), 4),
+        (ModelSpec(vocab_size=3, context_order=5, seed=4), SamplingParams(), 3),
+        (ModelSpec(vocab_size=5, context_order=0, seed=2), SamplingParams(), 3),
+        (SPEC, SamplingParams(top_k=2), 4),
+        (ModelSpec(vocab_size=5, seed=8), SamplingParams(top_p=0.7, cfg_scale=1.5), 3),
+    ])
+    def test_listing_order_and_masses(self, spec, sampling, length):
+        # the TV and chi-square reports sum the law in its listing order, so
+        # the order is part of their bytes: reverse lexicographic, zero-mass
+        # tokens skipped, each mass the left-to-right product along its prefix
+        model = TabularModel(spec)
+        sampler = TargetSampler(model, sampling)
+        expected = {}
+        for seq in itertools.product(range(spec.vocab_size), repeat=length):
+            probs = [float(sampler.dist(seq[:i]).probs[t]) for i, t in enumerate(seq)]
+            if all(p > 0.0 for p in probs):
+                expected[seq] = math.prod(probs, start=1.0)
+        law = enumerate_sequence_distribution(model, sampling, length)
+        assert list(law) == sorted(expected, reverse=True)
+        assert [m.hex() for m in law.values()] == [expected[s].hex() for s in law]
+        if sampling.top_k or sampling.top_p:  # the masks do skip tokens
+            assert len(law) < spec.vocab_size**length
+
 
 class TestFlatnessEntropy:
     def test_mean_renyi2_weakly_increases_with_flatness(self):
