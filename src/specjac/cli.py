@@ -232,10 +232,13 @@ def _decode_all(
     )
 
 
-def _aggregate(stats: DecodeStats, n: int) -> dict[str, float | None]:
-    """Means over trials of length ``n``; trials without a hamming or beta
-    value are skipped.  Every iteration is one model call, so a trial's
-    iterations are its NFE and it finalizes n / NFE tokens per iteration."""
+def _aggregate(
+    stats: DecodeStats, n: int, hammings: list, betas: list
+) -> dict[str, float | None]:
+    """Means over trials of length ``n``, given each trial's mean hamming and
+    beta; trials without a hamming or beta value are skipped.  Every
+    iteration is one model call, so a trial's iterations are its NFE and it
+    finalizes n / NFE tokens per iteration."""
 
     def mean(values) -> float | None:
         values = [v for v in values if v is not None]
@@ -247,8 +250,8 @@ def _aggregate(stats: DecodeStats, n: int) -> dict[str, float | None]:
         "nfe_std": float(nfes.std()),
         "iterations": float(nfes.mean()),
         "accepted": float(np.mean(n / nfes)),
-        "hamming": mean(stats.mean_hamming()),
-        "beta": mean(stats.mean_beta()),
+        "hamming": mean(hammings),
+        "beta": mean(betas),
     }
 
 
@@ -269,8 +272,8 @@ def cmd_generate(config: ExperimentConfig) -> int:
     rows = []
     sequences, stats = _decode_all(config, sampler, master)
     finalized, ends = stats.finalized.tolist(), np.cumsum(stats.nfe).tolist()
-    trials = zip(sequences.tolist(), stats.nfe.tolist(), ends, stats.mean_hamming(),
-                 stats.mean_beta())
+    hammings, betas = stats.mean_hamming(), stats.mean_beta()
+    trials = zip(sequences.tolist(), stats.nfe.tolist(), ends, hammings, betas)
     for k, (sequence, nfe, end, hamming, beta) in enumerate(trials):
         rows.append((
             f"trial-{k:06d}", fingerprint, config.run.seed, config.decode.coupler,
@@ -281,7 +284,7 @@ def cmd_generate(config: ExperimentConfig) -> int:
             " ".join(str(t) for t in sequence),
         ))
 
-    agg = _aggregate(stats, config.decode.length)
+    agg = _aggregate(stats, config.decode.length, hammings, betas)
     rows.append((
         "aggregate", fingerprint, config.run.seed, config.decode.coupler,
         config.decode.window, config.sampling.cfg_scale, config.model.flatness,
@@ -391,7 +394,8 @@ def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
         model = TabularModel(varied.model)
         sampler = TargetSampler(model, varied.sampling)
         # the k-th trial shares its master key across every sweep value
-        agg = _aggregate(_decode_all(varied, sampler, master)[1], varied.decode.length)
+        stats = _decode_all(varied, sampler, master)[1]
+        agg = _aggregate(stats, varied.decode.length, stats.mean_hamming(), stats.mean_beta())
         rows.append((
             args.axis, value, varied.fingerprint(), varied.run.seed,
             varied.decode.coupler, varied.decode.window,

@@ -148,14 +148,12 @@ def decode_trials(
 
 
 def _vanilla_chunk(sampler, n, keys):
-    token_keys = derive_keys(keys, "vanilla")
-    ctx = np.full(len(keys), sampler.context(()))
+    token_keys, trials = derive_keys(keys, "vanilla"), np.arange(len(keys))
     out = np.empty((len(keys), n), dtype=np.int64)
     for i in range(n):
-        rows, u = sampler.rows(ctx), uniforms_at(derive_keys(token_keys, i), 1)
+        rows = sampler.rows(sampler.codes(out, trials, i))
+        u = uniforms_at(derive_keys(token_keys, i), 1)
         out[:, i] = inverse_cdf_rows(sampler.probs, sampler.cdf, rows, u)
-        if i + 1 < n:
-            ctx = sampler.next_ctx(ctx, out[:, i])
     return out
 
 
@@ -169,13 +167,14 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
     slots that survived earlier iterations.  ``drow``/``prow`` are table rows
     of a slot's draft law and previous draft law (``prow`` -1: no previous
     draft, not re-drafted).  Finished trials leave the arrays; the rest
-    shift left by their progress.
+    shift left by their progress.  ``out`` holds each trial's finalized
+    tokens, then its current drafts at the window's positions, where the
+    context codes of the window slots are read.
     """
     count, vocab, uniform = len(keys), sampler.model.vocab_size, sampler.UNIFORM_ROW
     cols = np.arange(window)
     live = np.arange(count)
     start, made = np.zeros(count, np.int64), np.zeros(count, np.int64)
-    ctx = np.full(count, sampler.context(()))
     slots = np.zeros((4, count, window), dtype=np.int64)  # tok, ptok, drow, prow
     slots[2], slots[3] = uniform, -1
     tok, ptok, drow, prow = slots
@@ -211,10 +210,10 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
                                dkeys[rb, rj], noise[rb, rj])
 
         # Evaluate every window in one parallel model call per trial.
-        cid = sampler.window_ctx(ctx, tok[:, :-1])  # junk past a trial's width
         wb, wj = np.nonzero(in_win)
+        out[live[wb], pos[wb, wj]] = tok[wb, wj]
         ev = np.zeros_like(tok)
-        ev[wb, wj] = sampler.rows(cid[wb, wj])
+        ev[wb, wj] = sampler.rows(sampler.codes(out, live[wb], pos[wb, wj]))
         probs = sampler.probs
         if log is not None:
             changed, compared = record_hamming(tok, ptok, redo)
@@ -255,12 +254,10 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
             log.append((np.stack([trial, done, changed, compared]),
                         np.stack([trial[sb], start[sb] + sj]), betas))
         start, made = start + done, width - done
-        gb = np.flatnonzero((done > 0) & (start < n))
-        ctx[gb] = sampler.next_ctx(cid[gb, done[gb] - 1], final[gb, done[gb] - 1])
 
         keep = start < n
         shift = np.minimum(cols + done[:, None], window - 1)[keep]
-        live, start, made, ctx, keyring = (a[keep] for a in (live, start, made, ctx, keyring))
+        live, start, made, keyring = (a[keep] for a in (live, start, made, keyring))
         tok, ptok, drow, prow = slots = np.take_along_axis(slots[:, keep], shift[None], axis=2)
         if noise.shape[2]:
             noise = np.take_along_axis(noise[keep], shift[:, :, None], axis=1)

@@ -2,9 +2,9 @@
 
 The model defines one logit vector per context: i.i.d. standard normals
 keyed by (seed, context), divided by a flatness knob.  High flatness gives
-near-uniform, high-entropy conditionals; low flatness gives peaky ones.  Because every conditional is an explicit finite table, the full
-sequence distribution can be enumerated and used as ground truth for the
-decoders.
+near-uniform, high-entropy conditionals; low flatness gives peaky ones.
+Because every conditional is an explicit finite table, the full sequence
+distribution can be enumerated and used as ground truth for the decoders.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ class TargetSampler:
     This is the distribution every decoder must reproduce; losslessness is
     defined relative to it.  It is a row table over context codes: the code
     of a ``context_key`` is its base-(V+1) number, digit 0 for BOS and digit
-    t + 1 for token t, so ``next_ctx`` and ``window_ctx`` compute codes with
-    array arithmetic.  ``rows`` maps codes to rows of ``probs`` / ``cdf``
+    t + 1 for token t, and ``codes`` reads the codes of many positions of a
+    token matrix at once.  ``rows`` maps codes to rows of ``probs`` / ``cdf``
     through one sorted-code lookup; rows are built on first use, all missing
     rows of a call in one bulk build.
     Row ``UNIFORM_ROW`` is the uniform law (the Jacobi draft initializer).
@@ -178,29 +178,19 @@ class TargetSampler:
         """``(..., context_order)`` digits of each code, most significant first."""
         return codes[..., None] // self._place % self._base
 
-    def context(self, prefix: Sequence[int]) -> int:
-        """Context code of the position after ``prefix``."""
-        code = 0
-        for token in self.model.context_key(prefix):
-            code = code * self._base + token + 1
+    def codes(self, seq: np.ndarray, rows, pos) -> np.ndarray:
+        """Context codes of positions ``pos`` of rows ``rows`` (broadcast
+        together) of the token matrix ``seq``: digit t + 1 for the token
+        ``back`` places earlier, for ``back`` = 1..context_order, and digit 0
+        (BOS) before position 0.  Only tokens before ``pos`` count, and ``pos``
+        may equal the width of ``seq``."""
+        if not seq.shape[1]:  # no token to read: every digit is BOS
+            seq = np.zeros((len(seq), 1), dtype=np.int64)
+        code = np.zeros(np.broadcast(rows, pos).shape, dtype=np.int64)
+        for back in range(len(self._place), 0, -1):  # most significant digit first
+            at = np.subtract(pos, back)
+            code = code * self._base + np.where(at >= 0, seq[rows, np.maximum(at, 0)] + 1, 0)
         return code
-
-    def next_ctx(self, ids: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        """Context codes after appending ``tokens[i]`` to context ``ids[i]``."""
-        if not len(self._place):
-            return np.zeros_like(ids)
-        return ids % self._place[0] * self._base + tokens + 1
-
-    def window_ctx(self, ctx: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        """``(B, W)`` context codes of B windows: column j is the code of
-        context ``ctx[i]`` followed by ``tokens[i, :j]``, for a ``(B, W - 1)``
-        token matrix."""
-        width = tokens.shape[1] + 1
-        digits = np.concatenate([self._digits(ctx), tokens + 1], axis=1)
-        codes = np.zeros((len(ctx), width), dtype=np.int64)
-        for i in range(len(self._place)):
-            codes = codes * self._base + digits[:, i : i + width]
-        return codes
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """Row of the target law of each context code, built on first use.
@@ -236,7 +226,8 @@ class TargetSampler:
 
     def dist(self, prefix: Sequence[int]) -> Categorical:
         """Target law at the next position after ``prefix``."""
-        return self.categorical(self.rows(np.array([self.context(prefix)]))[0])
+        seq = np.array(prefix, dtype=np.int64).reshape(1, -1)
+        return self.categorical(self.rows(self.codes(seq, [0], [seq.shape[1]]))[0])
 
     def window_dists(
         self, context: Sequence[int], window: Sequence[int]
@@ -247,8 +238,8 @@ class TargetSampler:
         strictly before j, so the result equals ``len(window)`` sequential
         ``dist`` calls on the corresponding prefixes.
         """
-        tokens = np.array([window[:-1]], dtype=np.int64)
-        ids = self.window_ctx(np.array([self.context(context)]), tokens)[0, : len(window)]
+        seq = np.array([*context, *window], dtype=np.int64).reshape(1, -1)
+        ids = self.codes(seq, 0, len(context) + np.arange(len(window)))
         return [self.categorical(row) for row in self.rows(ids)]
 
 
@@ -259,8 +250,10 @@ def enumerate_sequence_distribution(
 ) -> dict[TokenSequence, float]:
     """Exact probability of every length-n sequence under sequential sampling.
 
-    Raises :class:`BudgetError` when ``vocab_size ** length`` exceeds
-    ``ENUMERATION_BUDGET``.
+    The law is built one position at a time over all prefixes with positive
+    mass, each mass the left-to-right product of its conditionals; it is
+    listed in reverse lexicographic order.  Raises :class:`BudgetError` when
+    ``vocab_size ** length`` exceeds ``ENUMERATION_BUDGET``.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -272,16 +265,10 @@ def enumerate_sequence_distribution(
             "vocabulary size or the length"
         )
     sampler = TargetSampler(model, sampling)
-    law: dict[TokenSequence, float] = {}
-    stack: list[tuple[TokenSequence, float]] = [((), 1.0)]
-    while stack:
-        prefix, mass = stack.pop()
-        if len(prefix) == length:
-            law[prefix] = mass
-            continue
-        dist = sampler.dist(prefix)
-        for token in range(model.vocab_size):
-            p = float(dist.probs[token])
-            if p > 0.0:
-                stack.append((prefix + (token,), mass * p))
-    return law
+    seqs, mass = np.empty((1, 0), dtype=np.int64), np.ones(1)
+    for i in range(length):
+        probs = sampler.probs[sampler.rows(sampler.codes(seqs, np.arange(len(seqs)), i))]
+        prefix, token = np.nonzero(probs > 0.0)  # lexicographic order
+        seqs = np.column_stack([seqs[prefix], token])
+        mass = mass[prefix] * probs[prefix, token]
+    return dict(zip(map(tuple, seqs[::-1].tolist()), mass[::-1].tolist()))

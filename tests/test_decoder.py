@@ -276,7 +276,8 @@ def _assert_list_means(stats, n):
         "beta": mean(betas),
     }
     for got, want in ((stats.mean_hamming(), hammings), (stats.mean_beta(), betas),
-                      (_aggregate(stats, n), expected)):
+                      (_aggregate(stats, n, stats.mean_hamming(), stats.mean_beta()),
+                       expected)):
         assert got == want and repr(got) == repr(want)
 
 

@@ -31,6 +31,20 @@ from specjac.rng import RandomSource
 SPEC = ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=11)
 
 
+def _code(sampler, prefix):
+    """Context code of the position after ``prefix``."""
+    seq = np.array(prefix, dtype=np.int64).reshape(1, -1)
+    return int(sampler.codes(seq, [0], [seq.shape[1]])[0])
+
+
+def _key_code(key, vocab):
+    """Reference: the base-(vocab + 1) number of a ``context_key``."""
+    code = 0
+    for token in key:
+        code = code * (vocab + 1) + token + 1
+    return code
+
+
 class TestEvalNext:
     """Next-position logits: ``TabularModel.logits`` of a ``context_key``."""
 
@@ -164,11 +178,11 @@ class TestTargetSampler:
         # the row table holds one row per context: prefixes that agree on the
         # last context_order tokens share its id and its row
         sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
-        a, b = sampler.context([1, 2]), sampler.context([0, 1, 2])
+        a, b = _code(sampler, [1, 2]), _code(sampler, [0, 1, 2])
         assert a == b
         row_a, row_b = sampler.rows(np.array([a, b])).tolist()
         assert row_a == row_b != TargetSampler.UNIFORM_ROW
-        assert sampler.next_ctx(np.array([sampler.context([1])]), np.array([2]))[0] == a
+        assert sampler.codes(np.array([[3, 1, 2, 0]]), [0], [3])[0] == a
 
 
 class TestContextCodes:
@@ -191,29 +205,37 @@ class TestContextCodes:
         sampler = TargetSampler(model, sampling)
         prefixes = [[t % vocab for t in prefix] for prefix in prefixes]
         token %= vocab
-        codes = np.array([sampler.context(prefix) for prefix in prefixes], dtype=np.int64)
+        # row r: prefix r, then the token, then filler
+        seq = np.zeros((len(prefixes), 7), dtype=np.int64)
+        for r, prefix in enumerate(prefixes):
+            seq[r, : len(prefix) + 1] = prefix + [token]
+        lengths, trials = np.array([len(p) for p in prefixes]), np.arange(len(prefixes))
+        codes = sampler.codes(seq, trials, lengths)
         keys = [model.context_key(prefix) for prefix in prefixes]
+        assert codes.tolist() == [_key_code(key, vocab) for key in keys]
         assert all(0 <= code < (vocab + 1) ** order for code in codes.tolist())
-        stepped = sampler.next_ctx(codes, np.full(len(codes), token))
-        assert stepped.tolist() == [sampler.context(prefix + [token]) for prefix in prefixes]
+        stepped = sampler.codes(seq, trials, lengths + 1)
+        assert stepped.tolist() == [_code(sampler, prefix + [token]) for prefix in prefixes]
         for a, b in itertools.product(range(len(keys)), repeat=2):
             assert (codes[a] == codes[b]) == (keys[a] == keys[b])
 
-        # the window chain equals the column-by-column next_ctx chain
-        width = data.draw(st.integers(1, 6))
-        window = np.array(
+        # every position of a token matrix, the width included, has the code
+        # of its prefix's key, read one column or all columns at a time
+        width = data.draw(st.integers(0, 6))
+        matrix = np.array(
             data.draw(st.lists(
-                st.lists(st.integers(0, vocab - 1), min_size=width - 1, max_size=width - 1),
+                st.lists(st.integers(0, vocab - 1), min_size=width, max_size=width),
                 min_size=len(codes), max_size=len(codes),
             )),
             dtype=np.int64,
-        ).reshape(len(codes), width - 1)
-        chain, column = sampler.window_ctx(codes, window), codes
-        assert chain.shape == (len(codes), width)
-        for j in range(width):
-            assert chain[:, j].tolist() == column.tolist()
-            if j + 1 < width:
-                column = sampler.next_ctx(column, window[:, j])
+        ).reshape(len(codes), width)
+        grid = sampler.codes(matrix, trials[:, None], np.arange(width + 1))
+        assert grid.shape == (len(codes), width + 1)
+        for j in range(width + 1):
+            expected = [_key_code(model.context_key(row[:j]), vocab) for row in matrix.tolist()]
+            assert sampler.codes(matrix, trials, j).tolist() == expected
+            assert grid[:, j].tolist() == expected
+        assert sampler.codes(np.empty((1, 0), dtype=np.int64), [0], [0]).tolist() == [0]
 
         # rows built from decoded codes equal the target law on the keys
         contexts = np.array(keys, dtype=np.int64).reshape(len(keys), order)
@@ -272,8 +294,8 @@ class TestBulkBuild:
         sampling = SamplingParams(temperature, top_k, top_p, cfg_scale)
         prefixes = [[token % vocab for token in prefix] for prefix in prefixes]
         bulk, single = (TargetSampler(TabularModel(spec), sampling) for _ in range(2))
-        ids = [bulk.context(prefix) for prefix in prefixes]
-        assert [single.context(prefix) for prefix in prefixes] == ids
+        ids = [_code(bulk, prefix) for prefix in prefixes]
+        assert [_code(single, prefix) for prefix in prefixes] == ids
         for cid, row in zip(ids, bulk.rows(np.array(ids)).tolist()):
             one = single.rows(np.array([cid]))[0]
             assert bulk.probs[row].tobytes() == single.probs[one].tobytes()
@@ -335,7 +357,7 @@ class TestBulkBuild:
 
             monkeypatch.setattr(model, "logit_rows", one_bad_row)
             sampler = TargetSampler(model, SamplingParams(top_k=2, top_p=0.9))
-            ids = np.array([sampler.context([token]) for token in range(3)])
+            ids = np.array([_code(sampler, [token]) for token in range(3)])
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
                 sampler.rows(ids)
 
@@ -440,9 +462,9 @@ class TestModelSpecValidation:
         spec = ModelSpec(vocab_size=2, context_order=39)
         model = TabularModel(spec)
         sampler = TargetSampler(model, SamplingParams())
-        top = sampler.context([1] * 39)
+        top = _code(sampler, [1] * 39)
         assert top == 3**39 - 1
-        assert sampler.next_ctx(np.array([top]), np.array([1]))[0] == top
+        assert sampler.codes(np.ones((1, 40), dtype=np.int64), [0], [40])[0] == top
         # 45 tokens: the last contexts hold no BOS digit
         tokens, stats = decode_sjd(
             model, SamplingParams(), 45, 8, CouplerKind.MAXIMAL, RandomSource(2), sampler=sampler
