@@ -24,6 +24,7 @@ import pytest
 from specjac.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
+DESK = ["--config", str(Path(__file__).resolve().parents[1] / "configs" / "desk.yaml")]
 
 FLAT = [
     "--model.vocab_size", "16", "--model.context_order", "2", "--model.flatness", "4.0",
@@ -78,6 +79,11 @@ COMMANDS = {
         "verify-lossless", "--model.context_order", "5", "--model.vocab_size", "3",
         "--decode.length", "3", "--decode.window", "2", "--run.trials", "2000",
     ],
+    "verify-lossless-desk.csv": ["verify-lossless", *DESK, "--run.trials", "2000"],
+    "verify-lossless-desk-top-k.csv": [
+        "verify-lossless", *DESK, "--sampling.top_k", "3", "--run.trials", "2000",
+    ],
+    "verify-lossless-desk-pooled.csv": ["verify-lossless", *DESK, "--run.trials", "300"],
     "generate-wide-window-redraft.csv": [
         "generate", "--model.vocab_size", "5", "--model.context_order", "3",
         "--decode.length", "6", "--decode.window", "8", "--decode.coupler", "gumbel",

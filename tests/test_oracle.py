@@ -1,10 +1,14 @@
 """Statistical harness: empirical laws, goodness of fit, bound sweeps."""
 
+import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import specjac.oracle as oracle_mod
+from specjac.cli import EXIT_OK, main
 from specjac.couplers import gs_couple, sample_gumbel_noise, sample_independent
 from specjac.decoder import (
     CouplerKind,
@@ -358,3 +362,63 @@ class TestLosslessSuite:
         assert by_name["lossless.tv.vanilla"].passed
         assert by_name["lossless.gof.vanilla"].passed
         assert not by_name["lossless.gof.maximal"].passed
+
+
+class TestOutOfVocabulary:
+    """A decoded row with a token outside 0..V-1 is outside the exact support:
+    it fails the chi-square gate and its mass counts in the TV.  Row (0, 5) at
+    V=4 would read as (1, 1) if its tokens were taken as base-4 digits."""
+
+    @pytest.mark.parametrize("bad", [
+        [(0, 5)], [(4, 0)], [(2, -1)], [(-1, 3)], [(0, 5), (4, 0), (2, -1)],
+    ])
+    def test_bad_rows_stay_out_of_support(self, monkeypatch, bad):
+        model, trials = TabularModel(SPEC), 40
+        sampler = TargetSampler(model, SamplingParams())
+        exact = {
+            seq: float(sampler.dist([]).probs[seq[0]]) * float(sampler.dist(seq[:1]).probs[seq[1]])
+            for seq in itertools.product(range(4), repeat=2)
+        }
+        good = trials - len(bad)
+
+        def fake_decode(sampler, n, keys, *args, **kwargs):
+            assert len(keys) == trials
+            return np.array([(0, 0)] * good + bad, dtype=np.int64), None
+
+        monkeypatch.setattr(oracle_mod, "decode_trials", fake_decode)
+        reports = run_lossless_suite(model, SamplingParams(), 2, 2, trials, RandomSource(5))
+        expected_tv = 0.5 * (
+            abs(good / trials - exact[(0, 0)])
+            + sum(p for seq, p in exact.items() if seq != (0, 0))
+            + len(bad) / trials
+        )
+        tvs = [r for r in reports if r.name.startswith("lossless.tv.")]
+        gofs = [r for r in reports if r.name.startswith("lossless.gof.")]
+        assert len(tvs) == len(gofs) == 4
+        for report in tvs:
+            assert report.value == pytest.approx(expected_tv, rel=1e-12)
+        for report in gofs:
+            assert report.passed is False
+            assert report.notes == f"{len(bad)} observations outside the exact support"
+
+
+class TestReportTypes:
+    @pytest.mark.parametrize("trials", [300, 2000])
+    def test_passed_is_a_python_bool(self, trials):
+        # at 300 trials every cell of the desk law pools into one
+        reports = run_lossless_suite(
+            TabularModel(SPEC), SamplingParams(), 5, 4, trials,
+            RandomSource(1234).derive("lossless"),
+        )
+        single = [r for r in reports if r.notes == "degenerate single-cell law"]
+        assert len(single) == (4 if trials == 300 else 0)
+        assert all(type(r.passed) is bool for r in reports)
+
+    def test_csv_writes_lowercase_verdicts(self, tmp_path):
+        out = tmp_path / "reports.csv"
+        argv = ["verify-lossless", "--model.seed", "11", "--run.trials", "300"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        with open(out, newline="") as handle:
+            verdicts = [row["passed"] for row in csv.DictReader(handle)]
+        assert len(verdicts) == 8
+        assert set(verdicts) <= {"true", "false"}
