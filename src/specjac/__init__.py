@@ -25,6 +25,7 @@ from .model import (
     TabularModel,
     TargetSampler,
     enumerate_sequence_distribution,
+    sequence_codes,
 )
 from .oracle import (
     EmpiricalLaw,
@@ -90,6 +91,7 @@ __all__ = [
     "run_lossless_suite",
     "sample_gumbel_noise",
     "sample_independent",
+    "sequence_codes",
     "tv_distance",
     "trial_keys",
     "tv_to_exact",

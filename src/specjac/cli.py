@@ -31,18 +31,10 @@ from .config import (
     convert,
     load_config_file,
 )
-from .couplers import maximal_coupling_cost
 from .decoder import CouplerKind, DecodeStats, decode_trials, trial_keys
 from .errors import BudgetError, ConfigError
 from .model import TabularModel, TargetSampler
-from .oracle import (
-    TestReport,
-    estimate_gumbel_collision,
-    estimate_independent_collision,
-    generate_pairs,
-    run_lossless_suite,
-)
-from .prob import independent_collision, renyi2_entropy, tv_distance
+from .oracle import TestReport, generate_pairs, pair_coupling, run_lossless_suite
 from .rng import RandomSource
 
 EXIT_OK = 0
@@ -348,19 +340,11 @@ def cmd_coupling_stats(config: ExperimentConfig, args: argparse.Namespace) -> in
         args.vocab, args.pairs, master.derive("pairs"),
         sharpness_range=tuple(args.sharpness_range),
     )
-    rows = []
-    for i, (p, q) in enumerate(pairs):
-        sub = master.derive("estimate", i)
-        tv = tv_distance(p, q)
-        rows.append((
-            i, args.vocab, seed, args.trials, tv,
-            independent_collision(p, q),
-            estimate_independent_collision(p, q, args.trials, sub.derive("independent")),
-            maximal_coupling_cost(p, q),
-            estimate_gumbel_collision(p, q, args.trials, sub.derive("gumbel")),
-            (1.0 - tv) / (1.0 + tv),
-            float(np.exp(-0.5 * (renyi2_entropy(p) + renyi2_entropy(q)))),
-        ))
+    rows = [
+        (i, args.vocab, seed, args.trials,
+         *pair_coupling(p, q, args.trials, master.derive("estimate", i)))
+        for i, (p, q) in enumerate(pairs)
+    ]
     write_csv(config.output.path, COUPLING_HEADER, rows)
     return EXIT_OK
 

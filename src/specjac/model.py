@@ -243,17 +243,25 @@ class TargetSampler:
         return [self.categorical(row) for row in self.rows(ids)]
 
 
+def sequence_codes(seqs: np.ndarray, vocab: int) -> np.ndarray:
+    """Base-``vocab`` number of each row of a token matrix, first token most
+    significant (descending codes list sequences reverse lexicographically);
+    -1 for a row with a token outside ``0..vocab-1``."""
+    codes = seqs @ vocab ** np.arange(seqs.shape[1], dtype=np.int64)[::-1]
+    return np.where(((seqs < 0) | (seqs >= vocab)).any(axis=1), -1, codes)
+
+
 def enumerate_sequence_distribution(
     model: TabularModel,
     sampling: SamplingParams,
     length: int,
-) -> dict[TokenSequence, float]:
-    """Exact probability of every length-n sequence under sequential sampling.
+) -> np.ndarray:
+    """Exact probability of every length-n sequence under sequential sampling,
+    as a vector indexed by :func:`sequence_codes` (0.0 off the support).
 
     The law is built one position at a time over all prefixes with positive
-    mass, each mass the left-to-right product of its conditionals; it is
-    listed in reverse lexicographic order.  Raises :class:`BudgetError` when
-    ``vocab_size ** length`` exceeds ``ENUMERATION_BUDGET``.
+    mass, each mass the left-to-right product of its conditionals.  Raises
+    :class:`BudgetError` when ``vocab_size ** length`` exceeds ``ENUMERATION_BUDGET``.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -268,7 +276,7 @@ def enumerate_sequence_distribution(
     seqs, mass = np.empty((1, 0), dtype=np.int64), np.ones(1)
     for i in range(length):
         probs = sampler.probs[sampler.rows(sampler.codes(seqs, np.arange(len(seqs)), i))]
-        prefix, token = np.nonzero(probs > 0.0)  # lexicographic order
+        prefix, token = np.nonzero(probs > 0.0)
         seqs = np.column_stack([seqs[prefix], token])
         mass = mass[prefix] * probs[prefix, token]
-    return dict(zip(map(tuple, seqs[::-1].tolist()), mass[::-1].tolist()))
+    return np.bincount(sequence_codes(seqs, model.vocab_size), weights=mass, minlength=total)

@@ -11,7 +11,6 @@ mass shifts.  Both must pass.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,8 +24,8 @@ from .model import (
     SamplingParams,
     TabularModel,
     TargetSampler,
-    TokenSequence,
     enumerate_sequence_distribution,
+    sequence_codes,
 )
 from .prob import Categorical, independent_collision, renyi2_entropy, softmax, tv_distance
 from .rng import RandomSource
@@ -34,9 +33,10 @@ from .rng import RandomSource
 
 @dataclass
 class EmpiricalLaw:
-    """Occurrence counts of finalized sequences."""
+    """Occurrence counts of finalized sequences by code (``sequence_codes``);
+    ``total`` counts every decode, rows outside the vocabulary included."""
 
-    counts: dict[TokenSequence, int]
+    counts: np.ndarray
     total: int
 
 
@@ -56,39 +56,45 @@ def collect(
     decode_fn: Callable[[np.ndarray], np.ndarray],
     trials: int,
     rng: RandomSource,
+    vocab: int,
 ) -> EmpiricalLaw:
     """Decode ``trials`` independent substreams in one call and count outputs:
-    ``decode_fn`` maps ``trial_keys(rng, trials)`` to the sequence matrix."""
+    ``decode_fn`` maps ``trial_keys(rng, trials)`` to the sequence matrix,
+    whose rows are counted by code over a ``vocab``-token alphabet."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sequences = decode_fn(trial_keys(rng, trials))
-    return EmpiricalLaw(dict(Counter(map(tuple, sequences.tolist()))), trials)
+    codes = sequence_codes(sequences, vocab)
+    counts = np.bincount(codes[codes >= 0], minlength=vocab ** sequences.shape[1])
+    return EmpiricalLaw(counts, trials)
 
 
-def tv_to_exact(law: EmpiricalLaw, exact: dict[TokenSequence, float]) -> float:
-    """Total variation between empirical frequencies and the exact law."""
-    total = law.total
-    tv = 0.0
-    for seq, prob in exact.items():
-        tv += abs(law.counts.get(seq, 0) / total - prob)
-    for seq, count in law.counts.items():
-        if seq not in exact:
-            tv += count / total
-    return 0.5 * tv
+def _listed(exact: np.ndarray) -> np.ndarray:
+    """Codes of the support of an exact law in its listing order (descending)."""
+    return np.flatnonzero(exact)[::-1]
 
 
-def expected_sampling_tv(exact: dict[TokenSequence, float], trials: int) -> float:
+def tv_to_exact(law: EmpiricalLaw, exact: np.ndarray) -> float:
+    """Total variation between empirical frequencies and the exact law,
+    summed over the support in listing order, then the other codes in the
+    same order, then the rows outside the vocabulary."""
+    freq, p = law.counts[::-1] / law.total, exact[::-1]  # descending codes
+    on = p > 0.0
+    stray = (law.total - int(law.counts.sum())) / law.total
+    terms = np.concatenate([np.abs(freq[on] - p[on]), freq[~on], [stray]])
+    return 0.5 * float(np.cumsum(terms)[-1])  # left to right: the order is in the report bytes
+
+
+def expected_sampling_tv(exact: np.ndarray, trials: int) -> float:
     """Expected TV of an honest multinomial sample from the exact law.
 
     Normal approximation: E|freq_s - p_s| ~ sqrt(2 p_s (1 - p_s) / (pi m)).
     """
-    acc = 0.0
-    for prob in exact.values():
-        acc += math.sqrt(2.0 * prob * (1.0 - prob) / (math.pi * trials))
-    return 0.5 * acc
+    p = exact[_listed(exact)]
+    return 0.5 * float(np.cumsum(np.sqrt(2.0 * p * (1.0 - p) / (math.pi * trials)))[-1])
 
 
-def expected_sampling_tv_std(exact: dict[TokenSequence, float], trials: int) -> float:
+def expected_sampling_tv_std(exact: np.ndarray, trials: int) -> float:
     """Standard deviation of the TV of an honest multinomial sample.
 
     Var|freq_s - p_s| ~ (1 - 2/pi) p_s (1 - p_s) / m per cell, summed as if
@@ -96,15 +102,13 @@ def expected_sampling_tv_std(exact: dict[TokenSequence, float], trials: int) -> 
     few percent of its mean, so the band stays tight at scale while small
     runs get an honest width.
     """
-    acc = 0.0
-    for prob in exact.values():
-        acc += (1.0 - 2.0 / math.pi) * prob * (1.0 - prob) / trials
-    return 0.5 * math.sqrt(acc)
+    p = exact[_listed(exact)]
+    return 0.5 * math.sqrt(np.cumsum((1.0 - 2.0 / math.pi) * p * (1.0 - p) / trials)[-1])
 
 
 def gof_test(
     law: EmpiricalLaw,
-    exact: dict[TokenSequence, float],
+    exact: np.ndarray,
     name: str = "gof",
     alpha: float = 0.001,
 ) -> TestReport:
@@ -114,34 +118,27 @@ def gof_test(
     when the p-value exceeds ``alpha``.  Observations outside the exact
     support fail outright (the exact law assigns them probability zero).
     """
-    total = law.total
-    out_of_support = sum(c for s, c in law.counts.items() if s not in exact)
+    total, listed = law.total, _listed(exact)
+    out_of_support = total - int(law.counts[listed].sum())
     if out_of_support:
         return TestReport(
             name, 0.0, alpha, False, total,
             notes=f"{out_of_support} observations outside the exact support",
         )
-    keys = list(exact.keys())
-    probs = np.array([exact[k] for k in keys])
-    observed = np.array([law.counts.get(k, 0) for k in keys], dtype=np.float64)
+    probs, observed = exact[listed], law.counts[listed].astype(np.float64)
     small = probs < 5.0 / total
-    kept_obs = observed[~small]
-    kept_exp = probs[~small] * total
+    obs, exp = observed[~small], probs[~small] * total
     tail_p = float(probs[small].sum())
-    cells_obs = list(kept_obs)
-    cells_exp = list(kept_exp)
     if tail_p > 0.0:
-        cells_obs.append(float(observed[small].sum()))
-        cells_exp.append(tail_p * total)
-    ncells = len(cells_obs)
+        obs = np.append(obs, observed[small].sum())
+        exp = np.append(exp, tail_p * total)
+    ncells = len(obs)
     if ncells <= 1:
-        matches = ncells == 1 and cells_obs[0] == total
+        matches = ncells == 1 and bool(obs[0] == total)
         return TestReport(
             name, 1.0 if matches else 0.0, alpha, matches, total,
             notes="degenerate single-cell law",
         )
-    obs = np.array(cells_obs)
-    exp = np.array(cells_exp)
     statistic = float(((obs - exp) ** 2 / exp).sum())
     dof = ncells - 1
     p_value = float(chi2_dist.sf(statistic, dof))
@@ -246,6 +243,22 @@ def acceptance_rate_check(
     )
 
 
+def pair_coupling(
+    p: Categorical, q: Categorical, trials: int, rng: RandomSource
+) -> tuple[float, ...]:
+    """Coupling statistics of one pair in ``coupling-stats`` column order: TV,
+    the independent collision (analytic, estimated), 1 - TV, the shared-noise
+    collision (estimated), its bound (1 - TV) / (1 + TV) and the Renyi-2 bound.
+    Each estimate takes ``trials`` draws from its own child of ``rng``."""
+    tv = tv_distance(p, q)
+    return (
+        tv, independent_collision(p, q),
+        estimate_independent_collision(p, q, trials, rng.derive("independent")),
+        1.0 - tv, estimate_gumbel_collision(p, q, trials, rng.derive("gumbel")),
+        (1.0 - tv) / (1.0 + tv), float(np.exp(-0.5 * (renyi2_entropy(p) + renyi2_entropy(q)))),
+    )
+
+
 def coupling_bound_sweep(
     pairs: Sequence[tuple[Categorical, Categorical]],
     trials: int,
@@ -260,11 +273,9 @@ def coupling_bound_sweep(
     """
     reports: list[TestReport] = []
     for i, (p, q) in enumerate(pairs):
-        sub = rng.derive("sweep", i)
-        tv = tv_distance(p, q)
-        upper = 1.0 - tv
-        lower = upper / (1.0 + tv)
-        gumbel = estimate_gumbel_collision(p, q, trials, sub.derive("gumbel"))
+        tv, analytic, emp, upper, gumbel, lower, bound = pair_coupling(
+            p, q, trials, rng.derive("sweep", i)
+        )
         sigma_lo = math.sqrt(lower * (1.0 - lower) / trials)
         sigma_hi = math.sqrt(upper * (1.0 - upper) / trials)
         reports.append(TestReport(
@@ -277,15 +288,12 @@ def coupling_bound_sweep(
             gumbel <= upper + 3.0 * sigma_hi + 1e-12, trials,
             notes=f"tv={tv:.6f} bound={upper:.6f}",
         ))
-        analytic = independent_collision(p, q)
-        emp = estimate_independent_collision(p, q, trials, sub.derive("independent"))
         sigma_c = math.sqrt(analytic * (1.0 - analytic) / trials)
         reports.append(TestReport(
             f"coupling.independent.{i}", emp, 3.0 * sigma_c,
             abs(emp - analytic) <= 3.0 * sigma_c + 1e-12, trials,
             notes=f"analytic={analytic:.6f}",
         ))
-        bound = math.exp(-0.5 * (renyi2_entropy(p) + renyi2_entropy(q)))
         reports.append(TestReport(
             f"coupling.renyi-bound.{i}", analytic, bound + 1e-12,
             analytic <= bound + 1e-12, 0,
@@ -352,11 +360,13 @@ def run_lossless_suite(
     exact = enumerate_sequence_distribution(model, sampling, n)
     reports: list[TestReport] = []
 
-    vanilla_law = collect(
-        lambda keys: decode_trials(sampler, n, keys, stats=False)[0],
-        trials,
-        rng.derive("collect", "vanilla"),
-    )
+    def law_of(label: str, coupler: CouplerKind | None = None, redraft: bool = False):
+        def decode(keys):
+            return decode_trials(sampler, n, keys, coupler, window, redraft, stats=False)[0]
+
+        return collect(decode, trials, rng.derive("collect", label), model.vocab_size)
+
+    vanilla_law = law_of("vanilla")
     tv_vanilla = tv_to_exact(vanilla_law, exact)
     # honest-sampling noise band: mean + 3 std of the TV statistic
     noise_band = expected_sampling_tv(exact, trials) + 3.0 * expected_sampling_tv_std(
@@ -375,13 +385,7 @@ def run_lossless_suite(
         suffix = "-redraft" if redraft else ""
         for coupler in couplers:
             label = coupler.value + suffix
-            law = collect(
-                lambda keys: decode_trials(
-                    sampler, n, keys, coupler, window, redraft, stats=False
-                )[0],
-                trials,
-                rng.derive("collect", label),
-            )
+            law = law_of(label, coupler, redraft)
             tv = tv_to_exact(law, exact)
             reports.append(TestReport(
                 f"lossless.tv.{label}", tv, threshold,

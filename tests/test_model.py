@@ -17,6 +17,7 @@ from specjac.model import (
     TabularModel,
     TargetSampler,
     enumerate_sequence_distribution,
+    sequence_codes,
 )
 from specjac.prob import (
     Categorical,
@@ -362,6 +363,17 @@ class TestBulkBuild:
                 sampler.rows(ids)
 
 
+class TestSequenceCodes:
+    def test_first_token_most_significant(self):
+        seqs = np.array(list(itertools.product(range(3), repeat=4)))
+        assert sequence_codes(seqs, 3).tolist() == list(range(81))  # lexicographic order
+
+    def test_rows_outside_the_vocabulary_have_no_code(self):
+        # (0, 5) would read as (1, 1) and (2, -1) as (1, 3) if taken as base-4 digits
+        seqs = np.array([[1, 1], [0, 5], [2, -1], [4, 0], [-1, 0], [3, 3]])
+        assert sequence_codes(seqs, 4).tolist() == [5, -1, -1, -1, -1, 15]
+
+
 class TestEnumerate:
     def test_single_step_equals_target_distribution(self):
         model = TabularModel(SPEC)
@@ -369,7 +381,7 @@ class TestEnumerate:
         law = enumerate_sequence_distribution(model, sampling, 1)
         dist = TargetSampler(model, sampling).dist([])
         for token in range(4):
-            assert law[(token,)] == pytest.approx(float(dist.probs[token]), abs=1e-15)
+            assert law[token] == pytest.approx(float(dist.probs[token]), abs=1e-15)
 
     def test_chain_rule_by_hand(self):
         spec = ModelSpec(vocab_size=2, context_order=1, flatness=1.0, seed=9)
@@ -383,24 +395,22 @@ class TestEnumerate:
             cond = sampler.dist([a])
             for b in range(2):
                 expected = float(first.probs[a]) * float(cond.probs[b])
-                assert law[(a, b)] == pytest.approx(expected, abs=1e-15)
+                assert law[2 * a + b] == pytest.approx(expected, abs=1e-15)
 
     def test_total_mass(self):
         law = enumerate_sequence_distribution(TabularModel(SPEC), SamplingParams(), 5)
         assert len(law) == 1024
-        assert sum(law.values()) == pytest.approx(1.0, abs=1e-9)
+        assert law.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_marginal_consistency(self):
         model = TabularModel(SPEC)
         sampling = SamplingParams(top_k=3)
         law_n = enumerate_sequence_distribution(model, sampling, 4)
         law_m = enumerate_sequence_distribution(model, sampling, 3)
-        reduced: dict = {}
-        for seq, mass in law_n.items():
-            reduced[seq[:-1]] = reduced.get(seq[:-1], 0.0) + mass
-        assert set(reduced) == set(law_m)
-        for seq, mass in law_m.items():
-            assert reduced[seq] == pytest.approx(mass, abs=1e-9)
+        # the code of seq[:-1] is the code of seq divided by V
+        reduced = law_n.reshape(-1, 4).sum(axis=1)
+        assert np.array_equal(reduced > 0.0, law_m > 0.0)
+        np.testing.assert_allclose(reduced, law_m, rtol=0, atol=1e-9)
 
     def test_budget_error(self):
         with pytest.raises(BudgetError, match="reduce the vocabulary size or the length"):
@@ -415,8 +425,9 @@ class TestEnumerate:
     ])
     def test_listing_order_and_masses(self, spec, sampling, length):
         # the TV and chi-square reports sum the law in its listing order, so
-        # the order is part of their bytes: reverse lexicographic, zero-mass
-        # tokens skipped, each mass the left-to-right product along its prefix
+        # the order is part of their bytes: descending codes (reverse
+        # lexicographic), zero-mass tokens skipped, each mass the
+        # left-to-right product along its prefix
         model = TabularModel(spec)
         sampler = TargetSampler(model, sampling)
         expected = {}
@@ -425,10 +436,16 @@ class TestEnumerate:
             if all(p > 0.0 for p in probs):
                 expected[seq] = math.prod(probs, start=1.0)
         law = enumerate_sequence_distribution(model, sampling, length)
-        assert list(law) == sorted(expected, reverse=True)
-        assert [m.hex() for m in law.values()] == [expected[s].hex() for s in law]
+        assert law.shape == (spec.vocab_size**length,)
+        listed = np.flatnonzero(law)[::-1]
+        support = [
+            tuple(int(d) for d in np.unravel_index(c, (spec.vocab_size,) * length))
+            for c in listed
+        ]
+        assert support == sorted(expected, reverse=True)
+        assert [float(m).hex() for m in law[listed]] == [expected[s].hex() for s in support]
         if sampling.top_k or sampling.top_p:  # the masks do skip tokens
-            assert len(law) < spec.vocab_size**length
+            assert len(support) < spec.vocab_size**length
 
 
 class TestFlatnessEntropy:

@@ -6,10 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_oracle as reference
 
 import specjac.oracle as oracle_mod
 from specjac.cli import EXIT_OK, main
-from specjac.couplers import gs_couple, sample_gumbel_noise, sample_independent
+from specjac.couplers import (
+    gs_couple,
+    maximal_coupling_cost,
+    sample_gumbel_noise,
+    sample_independent,
+)
 from specjac.decoder import (
     CouplerKind,
     DecodeStats,
@@ -22,6 +31,7 @@ from specjac.model import (
     TabularModel,
     TargetSampler,
     enumerate_sequence_distribution,
+    sequence_codes,
 )
 from specjac.oracle import (
     EmpiricalLaw,
@@ -31,9 +41,11 @@ from specjac.oracle import (
     estimate_gumbel_collision,
     estimate_independent_collision,
     expected_sampling_tv,
+    expected_sampling_tv_std,
     generate_pairs,
     gof_test,
     hamming_nfe_correlation,
+    pair_coupling,
     random_categorical,
     run_lossless_suite,
     tv_to_exact,
@@ -47,75 +59,74 @@ SPEC = ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=11)
 class TestCollect:
     def test_single_run(self):
         sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
-        law = collect(lambda keys: decode_trials(sampler, 3, keys)[0], 1, RandomSource(1))
+        law = collect(lambda keys: decode_trials(sampler, 3, keys)[0], 1, RandomSource(1), 4)
         assert law.total == 1
-        assert sum(law.counts.values()) == 1
+        assert law.counts.sum() == 1
 
     def test_greedy_gives_single_entry(self):
         sampler = TargetSampler(TabularModel(SPEC), SamplingParams(top_k=1))
-        law = collect(lambda keys: decode_trials(sampler, 4, keys)[0], 50, RandomSource(2))
-        assert len(law.counts) == 1
+        law = collect(lambda keys: decode_trials(sampler, 4, keys)[0], 50, RandomSource(2), 4)
+        assert np.count_nonzero(law.counts) == 1
         assert law.total == 50
 
     def test_replay_identical(self):
         model = TabularModel(SPEC)
-        laws = [
-            collect(
-                lambda keys: decode_trials(TargetSampler(model, SamplingParams()), 4, keys)[0],
-                200,
-                RandomSource(3),
-            )
-            for _ in range(2)
-        ]
-        assert laws[0].counts == laws[1].counts
+        decoded = []
+
+        def decode(keys):
+            decoded.append(decode_trials(TargetSampler(model, SamplingParams()), 4, keys)[0])
+            return decoded[-1]
+
+        laws = [collect(decode, 200, RandomSource(3), 4) for _ in range(2)]
+        assert np.array_equal(laws[0].counts, laws[1].counts)
         # trial k decodes the stream rng.derive("trial", k), as one-trial calls do
         singles = [
             decode_vanilla(model, SamplingParams(), 4, RandomSource(3).derive("trial", k))[0]
             for k in range(200)
         ]
-        assert list(laws[0].counts) == list(dict.fromkeys(singles))
-        assert sum(laws[0].counts.values()) == 200
+        assert list(map(tuple, decoded[0].tolist())) == singles
+        assert np.array_equal(
+            laws[0].counts, np.bincount(sequence_codes(decoded[0], 4), minlength=4**4)
+        )
+        assert laws[0].counts.sum() == 200
 
 
 class TestTvToExact:
     def test_exact_counts_give_zero(self):
-        exact = {(0,): 0.25, (1,): 0.75}
-        law = EmpiricalLaw({(0,): 25, (1,): 75}, 100)
+        exact = np.array([0.25, 0.75])
+        law = EmpiricalLaw(np.array([25, 75]), 100)
         assert tv_to_exact(law, exact) == pytest.approx(0.0, abs=1e-15)
 
     def test_out_of_support_mass_counts(self):
-        exact = {(0,): 1.0}
-        law = EmpiricalLaw({(0,): 50, (1,): 50}, 100)
+        exact = np.array([1.0, 0.0])
+        law = EmpiricalLaw(np.array([50, 50]), 100)
         assert tv_to_exact(law, exact) == pytest.approx(0.5)
 
     def test_consistency_as_samples_grow(self):
-        exact = {(i,): p for i, p in enumerate([0.4, 0.3, 0.2, 0.1])}
+        exact = np.array([0.4, 0.3, 0.2, 0.1])
         rng = np.random.default_rng(4)
         tvs = []
         for m in (100, 10000, 1000000):
             draws = rng.multinomial(m, [0.4, 0.3, 0.2, 0.1])
-            law = EmpiricalLaw({(i,): int(c) for i, c in enumerate(draws)}, m)
-            tvs.append(tv_to_exact(law, exact))
+            tvs.append(tv_to_exact(EmpiricalLaw(draws, m), exact))
         assert tvs[2] < tvs[0]
         assert tvs[2] < 0.005
 
     def test_expected_noise_of_uniform_1024_point_law(self):
         # hand value: 0.5 * 1024 * sqrt(2 * (1/1024) * (1023/1024) / (pi * 2e5))
-        exact = {(i,): 1.0 / 1024 for i in range(1024)}
+        exact = np.full(1024, 1.0 / 1024)
         noise = expected_sampling_tv(exact, 2 * 10**5)
         assert noise == pytest.approx(0.0285, abs=0.001)
         assert noise < 0.05
 
     def test_expected_sampling_tv_predicts_noise(self):
-        probs = np.full(64, 1.0 / 64)
-        exact = {(i,): float(p) for i, p in enumerate(probs)}
+        exact = np.full(64, 1.0 / 64)
         rng = np.random.default_rng(5)
         m = 20000
         measured = []
         for _ in range(50):
-            draws = rng.multinomial(m, probs)
-            law = EmpiricalLaw({(i,): int(c) for i, c in enumerate(draws)}, m)
-            measured.append(tv_to_exact(law, exact))
+            draws = rng.multinomial(m, exact)
+            measured.append(tv_to_exact(EmpiricalLaw(draws, m), exact))
         predicted = expected_sampling_tv(exact, m)
         assert np.mean(measured) == pytest.approx(predicted, rel=0.15)
 
@@ -126,17 +137,17 @@ class TestGofTest:
         return enumerate_sequence_distribution(model, SamplingParams(), 5)
 
     def _sample_law(self, exact, m, rng, shift=None):
-        keys = list(exact.keys())
-        probs = np.array([exact[k] for k in keys])
+        # draws over the support in listing order (descending codes)
+        listed = np.flatnonzero(exact)[::-1]
+        probs = exact[listed]
         if shift is not None:
             src, dst, mass = shift
             probs = probs.copy()
             probs[dst] += probs[src] * mass
             probs[src] *= 1.0 - mass
-        draws = rng.multinomial(m, probs / probs.sum())
-        return EmpiricalLaw(
-            {k: int(c) for k, c in zip(keys, draws) if c > 0}, m
-        )
+        counts = np.zeros(len(exact), dtype=np.int64)
+        counts[listed] = rng.multinomial(m, probs / probs.sum())
+        return EmpiricalLaw(counts, m)
 
     def test_null_hypothesis_passes(self):
         exact = self._exact_law()
@@ -147,32 +158,31 @@ class TestGofTest:
     def test_shifted_law_fails(self):
         # move 5% of the total mass onto one sequence
         exact = self._exact_law()
-        keys = list(exact.keys())
-        probs = np.array([exact[k] for k in keys])
-        probs = probs * 0.95
+        listed = np.flatnonzero(exact)[::-1]
+        probs = exact[listed] * 0.95
         probs[17] += 0.05
-        draws = np.random.default_rng(7).multinomial(2 * 10**5, probs / probs.sum())
-        law = EmpiricalLaw({k: int(c) for k, c in zip(keys, draws) if c > 0}, 2 * 10**5)
-        report = gof_test(law, exact)
+        counts = np.zeros(len(exact), dtype=np.int64)
+        counts[listed] = np.random.default_rng(7).multinomial(2 * 10**5, probs / probs.sum())
+        report = gof_test(EmpiricalLaw(counts, 2 * 10**5), exact)
         assert not report.passed
 
     def test_exact_counts_statistic_zero(self):
-        exact = {(0,): 0.5, (1,): 0.25, (2,): 0.25}
-        law = EmpiricalLaw({(0,): 500, (1,): 250, (2,): 250}, 1000)
+        exact = np.array([0.5, 0.25, 0.25])
+        law = EmpiricalLaw(np.array([500, 250, 250]), 1000)
         report = gof_test(law, exact)
         assert report.passed
         assert report.value == pytest.approx(1.0)
 
     def test_degenerate_single_cell(self):
-        exact = {(0, 1): 1.0}
-        law = EmpiricalLaw({(0, 1): 10}, 10)
-        assert gof_test(law, exact).passed
-        law = EmpiricalLaw({(1, 1): 10}, 10)
-        assert not gof_test(law, exact).passed
+        exact = np.array([0.0, 1.0, 0.0, 0.0])  # V=2, n=2: all mass on (0, 1)
+        law = EmpiricalLaw(np.array([0, 10, 0, 0]), 10)
+        assert gof_test(law, exact).passed is True
+        law = EmpiricalLaw(np.array([0, 0, 0, 10]), 10)  # (1, 1)
+        assert gof_test(law, exact).passed is False
 
     def test_out_of_support_fails(self):
-        exact = {(0,): 1.0}
-        law = EmpiricalLaw({(0,): 9, (5,): 1}, 10)
+        exact = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        law = EmpiricalLaw(np.array([9, 0, 0, 0, 0, 1]), 10)
         assert not gof_test(law, exact).passed
 
     def test_nominal_failure_rate(self):
@@ -186,6 +196,62 @@ class TestGofTest:
             if not gof_test(law, exact).passed:
                 failures += 1
         assert failures <= 5
+
+
+def _random_law(vocab: int, length: int, rng: np.random.Generator) -> np.ndarray:
+    """Chain-rule law over codes: softmax conditionals, each cut to a random top-k."""
+    law = np.ones(1)
+    for _ in range(length):
+        logits = rng.normal(size=(len(law), vocab))
+        ranks = np.argsort(np.argsort(-logits, axis=1), axis=1)
+        keep = ranks < rng.integers(1, vocab + 1, size=(len(law), 1))
+        probs = np.where(keep, np.exp(logits), 0.0)
+        law = (law[:, None] * probs / probs.sum(axis=1, keepdims=True)).ravel()
+    return law
+
+
+class TestVectorMatchesDictReference:
+    """The code-indexed laws give the bits and verdicts of the dict-of-tuples
+    reference.  The reference adds out-of-support cells in ``Counter`` order,
+    so the rows list the zero-mass codes in descending order, then the
+    out-of-vocabulary rows as one repeated row, as the vector adds them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        vocab=st.integers(2, 4),
+        length=st.integers(1, 4),
+        trials=st.integers(1, 3000),
+        zero_mass=st.integers(0, 3),
+        out_of_vocab=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_and_verdicts(self, vocab, length, trials, zero_mass, out_of_vocab, seed):
+        rng = np.random.default_rng(seed)
+        exact = _random_law(vocab, length, rng)
+        codes = np.arange(vocab**length)
+        strays = np.concatenate([codes[exact == 0.0][::-1][:zero_mass], np.full(out_of_vocab, -1)])
+        drawn = rng.multinomial(max(trials - len(strays), 1), exact)
+        rows_codes = np.concatenate([rng.permutation(np.repeat(codes, drawn)), strays])
+        rows = np.array(np.unravel_index(np.maximum(rows_codes, 0), (vocab,) * length)).T
+        rows[rows_codes < 0, 0] = vocab  # a token outside the vocabulary
+        total = len(rows)
+        law = collect(lambda keys: rows, total, RandomSource(seed), vocab)
+        ref_law, ref_exact = reference.count_rows(rows), reference.dict_law(exact, vocab, length)
+
+        assert law.total == total
+        assert tv_to_exact(law, exact).hex() == reference.tv_to_exact(
+            ref_law, total, ref_exact
+        ).hex()
+        for vector_fn, dict_fn in (
+            (expected_sampling_tv, reference.expected_sampling_tv),
+            (expected_sampling_tv_std, reference.expected_sampling_tv_std),
+        ):
+            assert vector_fn(exact, total).hex() == dict_fn(ref_exact, total).hex()
+        got, want = gof_test(law, exact), reference.gof_test(ref_law, total, ref_exact)
+        assert type(got.passed) is bool
+        assert (got.value.hex(), got.passed, got.notes) == (
+            float(want.value).hex(), bool(want.passed), want.notes,
+        )
 
 
 class TestAcceptanceRateCheck:
@@ -289,6 +355,23 @@ class TestCouplingBoundSweep:
         reports = coupling_bound_sweep(pairs, 20000, RandomSource(21))
         failures = [r for r in reports if not r.passed]
         assert failures == []
+
+    def test_reports_read_the_pair_statistics(self):
+        pairs = generate_pairs(8, 3, RandomSource(20))
+        reports = coupling_bound_sweep(pairs, 2000, RandomSource(21))
+        for i, (p, q) in enumerate(pairs):
+            tv, analytic, emp, maximal, gumbel, lower, bound = pair_coupling(
+                p, q, 2000, RandomSource(21).derive("sweep", i)
+            )
+            assert (tv, maximal, lower) == (
+                tv_distance(p, q), maximal_coupling_cost(p, q), (1.0 - tv) / (1.0 + tv)
+            )
+            by_name = {r.name.rsplit(".", 1)[0]: r for r in reports[4 * i : 4 * i + 4]}
+            assert by_name["coupling.gumbel-lower"].value == gumbel
+            assert by_name["coupling.gumbel-upper"].notes == f"tv={tv:.6f} bound={maximal:.6f}"
+            assert by_name["coupling.independent"].value == emp
+            assert by_name["coupling.renyi-bound"].value == analytic
+            assert by_name["coupling.renyi-bound"].threshold == bound + 1e-12
 
     def test_binary_pairs_attain_maximal_cost(self):
         rng = RandomSource(22)
@@ -403,20 +486,24 @@ class TestOutOfVocabulary:
 
 
 class TestReportTypes:
-    @pytest.mark.parametrize("trials", [300, 2000])
-    def test_passed_is_a_python_bool(self, trials):
-        # at 300 trials every cell of the desk law pools into one
+    # at 300 trials every cell of the desk law pools into one tail cell; under
+    # top-k 1 the one sequence is a single cell of its own
+    @pytest.mark.parametrize("sampling, trials, single", [
+        (SamplingParams(), 300, 4),
+        (SamplingParams(), 2000, 0),
+        (SamplingParams(top_k=1), 300, 4),
+    ])
+    def test_passed_is_a_python_bool(self, sampling, trials, single):
         reports = run_lossless_suite(
-            TabularModel(SPEC), SamplingParams(), 5, 4, trials,
-            RandomSource(1234).derive("lossless"),
+            TabularModel(SPEC), sampling, 5, 4, trials, RandomSource(1234).derive("lossless"),
         )
-        single = [r for r in reports if r.notes == "degenerate single-cell law"]
-        assert len(single) == (4 if trials == 300 else 0)
+        assert sum(r.notes == "degenerate single-cell law" for r in reports) == single
         assert all(type(r.passed) is bool for r in reports)
 
-    def test_csv_writes_lowercase_verdicts(self, tmp_path):
+    @pytest.mark.parametrize("extra", [[], ["--sampling.top_k", "1"]])
+    def test_csv_writes_lowercase_verdicts(self, tmp_path, extra):
         out = tmp_path / "reports.csv"
-        argv = ["verify-lossless", "--model.seed", "11", "--run.trials", "300"]
+        argv = ["verify-lossless", "--model.seed", "11", "--run.trials", "300", *extra]
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         with open(out, newline="") as handle:
             verdicts = [row["passed"] for row in csv.DictReader(handle)]

@@ -17,6 +17,8 @@ def test_library_example_runs(capsys):
         exec(compile(block, "README.md", "exec"), namespace)
     assert capsys.readouterr().out == "8 model calls for 64 tokens\n"
     assert namespace["tokens"].shape == (1000, 64)
+    assert namespace["exact"].shape == (4**5,)
+    assert namespace["mass"].shape == (1,)
 
 
 def test_desk_config_spells_out_the_defaults():
