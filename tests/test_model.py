@@ -399,7 +399,7 @@ class TestEnumerate:
 
     def test_total_mass(self):
         law = enumerate_sequence_distribution(TabularModel(SPEC), SamplingParams(), 5)
-        assert len(law) == 1024
+        assert np.count_nonzero(law) == 1024
         assert law.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_marginal_consistency(self):
