@@ -179,8 +179,11 @@ CHUNKED = [
 @pytest.mark.parametrize("argv", [
     ["generate", *CHUNKED, "--decode.coupler", "maximal"],
     ["generate", *CHUNKED, "--decode.coupler", "maximal", "--decode.redraft", "true"],
+    ["generate", *CHUNKED, "--decode.coupler", "gumbel"],
+    ["generate", *CHUNKED, "--decode.coupler", "gumbel", "--decode.redraft", "true"],
     ["sweep", *CHUNKED, "--axis", "coupler", "--values", "vanilla,independent,maximal,gumbel"],
-], ids=["generate", "generate-redraft", "sweep-coupler"])
+], ids=["generate", "generate-redraft", "generate-gumbel", "generate-gumbel-redraft",
+        "sweep-coupler"])
 def test_trial_chunks_keep_output_bytes(argv, tmp_path, monkeypatch):
     # 10 trials in chunks of 3 cross every chunk boundary of the engine
     whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"

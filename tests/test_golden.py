@@ -4,7 +4,8 @@ The files under ``tests/golden/`` were written by ``main(argv + ["--out",
 path])`` for each command below.  The first four are the argv of acceptance
 criterion 10.  The others cover what those miss: per-trial rows at V=16
 (the flat regime of ``benchmarks/configs/flat.yaml``, spelled out as
-overrides), the redraft rejection convention, guided and top-k truncated
+overrides; under ``gumbel`` its slots live through many window shifts,
+each keeping its position's noise), the redraft rejection convention, guided and top-k truncated
 target laws (zero-probability tokens), a V=64 order-3 flatness sweep, a
 nucleus (top-p) law at temperature 0.7 under guidance (also under the
 redraft convention, so maximal redraft residuals meet masked rows), an
@@ -48,6 +49,9 @@ COMMANDS = {
     ],
     "generate-flat-maximal.csv": [
         "generate", *FLAT, "--run.trials", "10", "--decode.coupler", "maximal",
+    ],
+    "generate-flat-gumbel.csv": [
+        "generate", *FLAT, "--run.trials", "10", "--decode.coupler", "gumbel",
     ],
     "verify-lossless-redraft.csv": [
         "verify-lossless", "--model.vocab_size", "3", "--decode.length", "3",
