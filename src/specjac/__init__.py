@@ -11,7 +11,6 @@ from .config import DecodeConfig, ExperimentConfig, OutputConfig, RunConfig, bui
 from .couplers import (
     MrsOutcome,
     gs_couple,
-    maximal_coupling_cost,
     mrs,
     mrs_joint_distribution,
     sample_gumbel_noise,
@@ -82,7 +81,6 @@ __all__ = [
     "gs_couple",
     "hamming_nfe_correlation",
     "independent_collision",
-    "maximal_coupling_cost",
     "mix_cfg",
     "mrs",
     "mrs_joint_distribution",

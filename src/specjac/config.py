@@ -20,11 +20,12 @@ from typing import Any, get_args, get_type_hints
 
 import yaml
 
+from .decoder import CouplerKind
 from .errors import ConfigError
 from .model import ModelSpec, SamplingParams
 from .rng import NORMAL_BOUND
 
-COUPLER_CHOICES = ("vanilla", "independent", "maximal", "gumbel")
+COUPLER_CHOICES = ("vanilla", *(kind.value for kind in CouplerKind))
 FORMAT_CHOICES = ("csv", "report")
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, ZeroMassError
-from .prob import Categorical, residual_distribution, tv_distance
+from .prob import Categorical, residual_distribution
 from .rng import RandomSource
 
 
@@ -145,15 +145,6 @@ def gs_couple(p: Categorical, q: Categorical, noise: np.ndarray) -> tuple[int, i
     if p.vocab_size != q.vocab_size or p.vocab_size != noise.shape[0]:
         raise ValueError("p, q, and noise must share one vocab size")
     return int(gumbel_argmax(p.probs, noise)), int(gumbel_argmax(q.probs, noise))
-
-
-def maximal_coupling_cost(p: Categorical, q: Categorical) -> float:
-    """Collision probability of the maximal coupling: 1 - TV(p, q).
-
-    This is also the upper bound on the collision probability of any
-    coupling of p and q.
-    """
-    return 1.0 - tv_distance(p, q)
 
 
 def mrs_joint_distribution(

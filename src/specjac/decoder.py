@@ -170,16 +170,18 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
     shift left by their progress.  ``out`` holds each trial's finalized
     tokens, then its current drafts at the window's positions, where the
     context codes of the window slots are read.
+
+    :func:`_redraft` is the one per-coupler function.  A slot's Gumbel noise
+    is a function of its trial and position, so it is computed where it is
+    used and does not move with the slots.
     """
-    count, vocab, uniform = len(keys), sampler.model.vocab_size, sampler.UNIFORM_ROW
+    count, uniform = len(keys), sampler.UNIFORM_ROW
     cols = np.arange(window)
     live = np.arange(count)
     start, made = np.zeros(count, np.int64), np.zeros(count, np.int64)
     slots = np.zeros((4, count, window), dtype=np.int64)  # tok, ptok, drow, prow
     slots[2], slots[3] = uniform, -1
     tok, ptok, drow, prow = slots
-    # Gumbel noise per slot; other couplers keep a zero-width array
-    noise = np.zeros((count, window, vocab if coupler is CouplerKind.GUMBEL else 0))
     keyring = np.stack([derive_keys(keys, label) for label in ("draft", "verify", "gumbel")], 1)
     out = np.empty((count, n), dtype=np.int64)
 
@@ -200,14 +202,10 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
         tok[fb, fj] = inverse_cdf_rows(
             sampler.probs, sampler.cdf, drow[fb, fj], uniforms_at(dkeys[fb, fj], 1)
         )
-        if noise.shape[2]:
-            slot_keys = derive_keys(keyring[fb, 2], pos[fb, fj])[:, None]
-            draws = uniforms_at(slot_keys, np.arange(1, vocab + 1))
-            noise[fb, fj] = gumbel_from_uniform(draws)
         redo = in_win & (prow >= 0)
         rb, rj = np.nonzero(redo)
         tok[rb, rj] = _redraft(sampler, coupler, drow[rb, rj], prow[rb, rj], ptok[rb, rj],
-                               dkeys[rb, rj], noise[rb, rj])
+                               dkeys[rb, rj], keyring[rb, 2], pos[rb, rj])
 
         # Evaluate every window in one parallel model call per trial.
         wb, wj = np.nonzero(in_win)
@@ -259,18 +257,20 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
         shift = np.minimum(cols + done[:, None], window - 1)[keep]
         live, start, made, keyring = (a[keep] for a in (live, start, made, keyring))
         tok, ptok, drow, prow = slots = np.take_along_axis(slots[:, keep], shift[None], axis=2)
-        if noise.shape[2]:
-            noise = np.take_along_axis(noise[keep], shift[:, :, None], axis=1)
         t += 1
     return out
 
 
-def _redraft(sampler, coupler, rows, prev_rows, prev_tokens, keys, noise):
-    """New drafts of surviving slots through the coupler."""
+def _redraft(sampler, coupler, rows, prev_rows, prev_tokens, keys, gumbel_keys, positions):
+    """New drafts of surviving slots through the coupler, the engine's only
+    per-coupler code.  ``keys`` are the slots' draft streams this iteration;
+    a slot's Gumbel noise is uniforms 1..V of ``derive_keys(gumbel_key, pos)``."""
     probs = sampler.probs
     if coupler is CouplerKind.INDEPENDENT:
         return inverse_cdf_rows(probs, sampler.cdf, rows, uniforms_at(keys, 1))
     if coupler is CouplerKind.GUMBEL:
+        slot_keys = derive_keys(gumbel_keys, positions)[:, None]
+        noise = gumbel_from_uniform(uniforms_at(slot_keys, np.arange(1, probs.shape[1] + 1)))
         return gumbel_argmax(probs[rows], noise)
     # maximal: modified rejection sampling of the previous draft; rejected
     # slots draw their residual row-wise on the second uniform, as mrs would

@@ -246,7 +246,11 @@ class TargetSampler:
 def sequence_codes(seqs: np.ndarray, vocab: int) -> np.ndarray:
     """Base-``vocab`` number of each row of a token matrix, first token most
     significant (descending codes list sequences reverse lexicographically);
-    -1 for a row with a token outside ``0..vocab-1``."""
+    -1 for a row with a token outside ``0..vocab-1``.  Codes are int64, so
+    ``vocab ** width`` must not exceed 2**63."""
+    width = seqs.shape[1]
+    if int(vocab) ** width > 2**63:
+        raise ValueError(f"sequence codes: vocab ** width = {vocab}^{width} must be <= 2**63")
     codes = seqs @ vocab ** np.arange(seqs.shape[1], dtype=np.int64)[::-1]
     return np.where(((seqs < 0) | (seqs >= vocab)).any(axis=1), -1, codes)
 

@@ -172,13 +172,6 @@ def estimate_gumbel_collision(
     return float(np.mean(gumbel_argmax(p.probs, noise) == gumbel_argmax(q.probs, noise)))
 
 
-def random_categorical(
-    vocab: int, rng: RandomSource, sharpness: float = 1.0
-) -> Categorical:
-    """Random distribution: softmax of scaled standard-normal logits."""
-    return Categorical(softmax(sharpness * rng.normals(vocab)))
-
-
 def random_pair(
     vocab: int,
     rng: RandomSource,
@@ -331,8 +324,6 @@ def hamming_nfe_correlation(
 # Losslessness suite
 # ---------------------------------------------------------------------------
 
-_COUPLER_ORDER = (CouplerKind.INDEPENDENT, CouplerKind.MAXIMAL, CouplerKind.GUMBEL)
-
 # Head room of the TV gate over its calibration (vanilla TV or noise band).
 TV_MARGIN = 1.2
 
@@ -345,7 +336,7 @@ def run_lossless_suite(
     trials: int,
     rng: RandomSource,
     conventions: Sequence[bool] = (False,),
-    couplers: Sequence[CouplerKind] = _COUPLER_ORDER,
+    couplers: Sequence[CouplerKind] = tuple(CouplerKind),
 ) -> list[TestReport]:
     """Compare vanilla and every requested SJD variant to the exact law.
 

@@ -14,7 +14,6 @@ from specjac.couplers import (
     gumbel_from_uniform,
     inverse_cdf_rows,
     inverse_cdf_sample,
-    maximal_coupling_cost,
     mrs,
     mrs_accepts,
     mrs_joint_distribution,
@@ -23,7 +22,7 @@ from specjac.couplers import (
     sample_independent,
 )
 from specjac.errors import BudgetError, ZeroMassError
-from specjac.prob import Categorical, softmax
+from specjac.prob import Categorical, softmax, tv_distance
 from specjac.rng import RandomSource
 
 EULER_GAMMA = 0.5772156649015329
@@ -146,7 +145,7 @@ class TestMrs:
             x_old = sample_independent(p_old, rng)
             coupled += mrs(p_new, p_old, x_old, rng).token == x_old
             independent += sample_independent(p_new, rng) == x_old
-        expect_c = maximal_coupling_cost(p_new, p_old)
+        expect_c = 1.0 - tv_distance(p_new, p_old)
         expect_i = float(p_new.probs @ p_old.probs)
         assert abs(coupled / n - expect_c) <= 3 * math.sqrt(expect_c * (1 - expect_c) / n)
         assert abs(independent / n - expect_i) <= 3 * math.sqrt(expect_i * (1 - expect_i) / n)
@@ -233,16 +232,6 @@ class TestGsCouple:
             gs_couple(Categorical([1.0]), Categorical([0.5, 0.5]), np.zeros(2))
 
 
-class TestMaximalCouplingCost:
-    def test_values(self):
-        d = Categorical([0.5, 0.5])
-        assert maximal_coupling_cost(d, d) == 1.0
-        assert maximal_coupling_cost(Categorical([1, 0]), Categorical([0, 1])) == 0.0
-        assert maximal_coupling_cost(
-            Categorical([0.6, 0.4]), Categorical([0.4, 0.6])
-        ) == pytest.approx(0.8)
-
-
 class TestMrsJointDistribution:
     def test_identical_is_diagonal(self):
         d = Categorical([0.5, 0.5])
@@ -265,7 +254,7 @@ class TestMrsJointDistribution:
             assert np.allclose(joint.sum(axis=1), q.probs, atol=1e-12)
             assert np.allclose(joint.sum(axis=0), p.probs, atol=1e-12)
             diag = float(np.trace(joint))
-            assert diag == pytest.approx(maximal_coupling_cost(p, q), abs=1e-12)
+            assert diag == pytest.approx(1.0 - tv_distance(p, q), abs=1e-12)
 
     def test_hand_pair(self):
         p = Categorical([0.6, 0.4])

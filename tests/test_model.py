@@ -373,6 +373,17 @@ class TestSequenceCodes:
         seqs = np.array([[1, 1], [0, 5], [2, -1], [4, 0], [-1, 0], [3, 3]])
         assert sequence_codes(seqs, 4).tolist() == [5, -1, -1, -1, -1, 15]
 
+    def test_codes_past_int64_raise(self):
+        # 4 ** 40 > 2**63: the code of (1, 0, ..., 0) would wrap to 0, the
+        # code of the all-zero row
+        seqs = np.zeros((2, 40), dtype=np.int64)
+        seqs[0, 0] = 1
+        with pytest.raises(ValueError, match=r"4\^40 must be <= 2\*\*63"):
+            sequence_codes(seqs, 4)
+        assert sequence_codes(np.ones((1, 63), dtype=np.int64), 2).tolist() == [2**63 - 1]
+        with pytest.raises(ValueError, match=r"2\^64"):
+            sequence_codes(np.zeros((1, 64), dtype=np.int64), 2)
+
 
 class TestEnumerate:
     def test_single_step_equals_target_distribution(self):

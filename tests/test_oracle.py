@@ -15,7 +15,6 @@ import specjac.oracle as oracle_mod
 from specjac.cli import EXIT_OK, main
 from specjac.couplers import (
     gs_couple,
-    maximal_coupling_cost,
     sample_gumbel_noise,
     sample_independent,
 )
@@ -46,7 +45,7 @@ from specjac.oracle import (
     gof_test,
     hamming_nfe_correlation,
     pair_coupling,
-    random_categorical,
+    random_pair,
     run_lossless_suite,
     tv_to_exact,
 )
@@ -297,8 +296,7 @@ class TestAcceptanceRateCheck:
 
 class TestBatchedEstimators:
     def test_gumbel_batch_matches_scalar_calls(self):
-        p = random_categorical(6, RandomSource(13).derive("p"), 1.5)
-        q = random_categorical(6, RandomSource(13).derive("q"), 1.5)
+        p, q = random_pair(6, RandomSource(13), 1.5)
         batched_rng = RandomSource(14)
         scalar_rng = RandomSource(14)
         trials = 200
@@ -310,8 +308,7 @@ class TestBatchedEstimators:
         assert estimate_gumbel_collision(p, q, trials, RandomSource(14)) == hits / trials
 
     def test_independent_batch_matches_scalar_calls(self):
-        p = random_categorical(5, RandomSource(15).derive("p"), 1.0)
-        q = random_categorical(5, RandomSource(15).derive("q"), 1.0)
+        p, q = random_pair(5, RandomSource(15), 1.0)
         trials = 300
         root = RandomSource(16)
         xs = root.derive("x")
@@ -378,7 +375,7 @@ class TestCouplingBoundSweep:
                 p, q, 2000, RandomSource(21).derive("sweep", i)
             )
             assert (tv, maximal, lower) == (
-                tv_distance(p, q), maximal_coupling_cost(p, q), (1.0 - tv) / (1.0 + tv)
+                tv_distance(p, q), 1.0 - tv_distance(p, q), (1.0 - tv) / (1.0 + tv)
             )
             by_name = {r.name.rsplit(".", 1)[0]: r for r in reports[4 * i : 4 * i + 4]}
             assert by_name["coupling.gumbel-lower"].value == gumbel
