@@ -33,7 +33,7 @@ FORMAT_CHOICES = ("csv", "report")
 class DecodeConfig:
     length: int = 5
     window: int = 4
-    coupler: str = "maximal"
+    coupler: str = CouplerKind.MAXIMAL.value
     redraft: bool = False
 
     def __post_init__(self) -> None:
