@@ -1,10 +1,11 @@
-"""Dict-of-tuples reference for the oracle's law arithmetic.
+"""Reference formulas for the oracle's law arithmetic and estimators.
 
 An exact law here is a dict from token tuples to probabilities, listed in
 reverse lexicographic order; an empirical law is a ``Counter`` of decoded
 rows.  These are the TV, noise-band and chi-square computations the oracle
 made on that format before it kept laws as code-indexed vectors; the
-vector versions must reproduce them bit for bit.
+vector versions must reproduce them bit for bit.  The shared-noise collision
+estimate is the one-shot formula, every trial's noise drawn in one matrix.
 """
 
 import math
@@ -89,3 +90,15 @@ def gof_test(
         name, p_value, alpha, p_value > alpha, total,
         notes=f"chi2={statistic:.3f} dof={dof} pooled={int(small.sum())}",
     )
+
+
+def estimate_gumbel_collision(p, q, trials: int, rng) -> float:
+    """Shared-noise collision rate from one ``trials x V`` matrix of Gumbel
+    noise, the transform and argmax written out."""
+    vocab = p.vocab_size
+    u = np.clip(rng.uniforms(trials * vocab), np.finfo(np.float64).tiny, 1.0 - 2.0**-53)
+    noise = (-np.log(-np.log(u))).reshape(trials, vocab)
+    with np.errstate(divide="ignore"):
+        x = np.argmax(np.log(p.probs) + noise, axis=-1)
+        y = np.argmax(np.log(q.probs) + noise, axis=-1)
+    return float(np.mean(x == y))

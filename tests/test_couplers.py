@@ -161,6 +161,16 @@ class TestGumbelNoise:
         g = gumbel_from_uniform(np.array([0.0, 1.0 - 2.0**-53]))
         assert np.all(np.isfinite(g))
 
+    def test_input_left_unchanged(self):
+        # the transform works on a copy: a read-only input must not raise
+        u = np.array([0.0, 0.25, 1.0 / math.e, 0.5, 1.0 - 2.0**-53])
+        u.flags.writeable = False
+        g = gumbel_from_uniform(u)
+        assert u.tolist() == [0.0, 0.25, 1.0 / math.e, 0.5, 1.0 - 2.0**-53]
+        assert g.flags.writeable and not np.shares_memory(g, u)
+        clipped = np.clip(u, np.finfo(np.float64).tiny, 1.0 - 2.0**-53)
+        assert g.tolist() == (-np.log(-np.log(clipped))).tolist()
+
     def test_moments(self):
         n = 10**6
         g = sample_gumbel_noise(n, RandomSource(13))

@@ -346,6 +346,30 @@ class TestBatchedEstimators:
         assert 0.8 < devs.std() < 1.2
 
 
+class TestBlockedGumbelEstimate:
+    # (vocab, trials, noise elements per block; None keeps the module's block)
+    CASES = {
+        "below-one-block": (6, 50, None),
+        "many-default-blocks": (64, 5000, None),
+        "ragged-last-block": (6, 23, 24),  # 4 trials per block: 5 full, then 3
+        "exact-multiple": (6, 24, 24),  # 6 full blocks of 4 trials
+        "vocab-above-block": (40, 7, 16),  # one trial per block
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_one_shot_formula(self, case, monkeypatch):
+        vocab, trials, block = self.CASES[case]
+        if block is not None:
+            monkeypatch.setattr(oracle_mod, "NOISE_BLOCK", block, raising=False)
+        p, q = random_pair(vocab, RandomSource(31), 1.5, closeness=0.8)
+        blocked, one_shot = RandomSource(32), RandomSource(32)
+        got = estimate_gumbel_collision(p, q, trials, blocked)
+        assert 0.0 < got < 1.0
+        assert got == reference.estimate_gumbel_collision(p, q, trials, one_shot)
+        # the stream ends where one call of trials * V uniforms leaves it
+        assert blocked.draw_uniform01() == one_shot.draw_uniform01()
+
+
 class TestCouplingBoundSweep:
     def test_identical_pairs_trivially_pass(self):
         d = Categorical([0.25, 0.25, 0.5])
