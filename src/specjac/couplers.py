@@ -110,11 +110,14 @@ def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
     """Transform uniforms in [0, 1) to Gumbel(0, 1) via -log(-log(u)).
 
     Inputs are clamped into [tiny, 1 - 2^-53] so the double logarithm is
-    always finite.
+    always finite.  The logarithms work in place on the clamped copy, so
+    ``u`` is left as it was.
     """
-    tiny = np.finfo(np.float64).tiny
-    clamped = np.clip(u, tiny, 1.0 - 2.0**-53)
-    return -np.log(-np.log(clamped))
+    g = np.clip(u, np.finfo(np.float64).tiny, 1.0 - 2.0**-53)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    np.log(g, out=g)
+    return np.negative(g, out=g)
 
 
 def sample_gumbel_noise(vocab_size: int, rng: RandomSource) -> np.ndarray:

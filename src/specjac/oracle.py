@@ -153,11 +153,17 @@ def gof_test(
 # Gumbel argmax and accept test, applied to whole arrays of draws.
 # ---------------------------------------------------------------------------
 
+# Gumbel noise entries drawn and reduced at a time (256 KB of float64): a
+# block's uniforms, noise and scores stay in cache.
+NOISE_BLOCK = 2**15
+
 
 def estimate_independent_collision(
     p: Categorical, q: Categorical, trials: int, rng: RandomSource
 ) -> float:
     """Empirical collision rate of two independent sampling streams."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     x = inverse_cdf_sample(p, rng.derive("x").uniforms(trials))
     y = inverse_cdf_sample(q, rng.derive("y").uniforms(trials))
     return float(np.mean(x == y))
@@ -166,10 +172,23 @@ def estimate_independent_collision(
 def estimate_gumbel_collision(
     p: Categorical, q: Categorical, trials: int, rng: RandomSource
 ) -> float:
-    """Empirical collision rate of shared-noise Gumbel argmax sampling."""
+    """Empirical collision rate of shared-noise Gumbel argmax sampling.
+
+    Trial i's noise is uniforms ``i*V + 1 .. (i+1)*V`` of ``rng``, drawn in
+    blocks of whole trials (at least one) of about ``NOISE_BLOCK`` entries;
+    ``rng`` ends as one call of ``trials * V`` uniforms would leave it.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     vocab = p.vocab_size
-    noise = gumbel_from_uniform(rng.uniforms(trials * vocab)).reshape(trials, vocab)
-    return float(np.mean(gumbel_argmax(p.probs, noise) == gumbel_argmax(q.probs, noise)))
+    per_block = max(1, NOISE_BLOCK // vocab)
+    hits = 0
+    for start in range(0, trials, per_block):
+        m = min(per_block, trials - start)
+        noise = gumbel_from_uniform(rng.uniforms(m * vocab)).reshape(m, vocab)
+        x, y = gumbel_argmax(p.probs, noise), gumbel_argmax(q.probs, noise)
+        hits += int(np.count_nonzero(x == y))
+    return hits / trials
 
 
 def random_pair(

@@ -107,8 +107,7 @@ class RandomSource:
             raise ValueError("n must be non-negative")
         steps = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        z = _mix_array(np.uint64(self._key) + steps * np.uint64(_GOLDEN))
-        return (z >> np.uint64(11)).astype(np.float64) * _INV53
+        return uniforms_at(self._key, steps)
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals: :func:`normals_of` ``n`` uniforms."""
@@ -130,9 +129,17 @@ def normals_of(u: np.ndarray) -> np.ndarray:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """:func:`_mix` of every entry, in place: ``z`` must be a fresh array
+    the caller owns.  Returns ``z``."""
+    t = z >> np.uint64(30)  # the one scratch buffer
+    z ^= t
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def derive_keys(keys, *key_parts) -> np.ndarray:
@@ -160,4 +167,7 @@ def uniforms_at(keys, counters) -> np.ndarray:
     """
     k = np.array(keys, dtype=np.uint64, ndmin=1)
     z = _mix_array(k + np.asarray(counters, dtype=np.uint64) * np.uint64(_GOLDEN))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV53
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= _INV53
+    return u

@@ -166,7 +166,6 @@ class TestGumbelNoise:
         u = np.array([0.0, 0.25, 1.0 / math.e, 0.5, 1.0 - 2.0**-53])
         u.flags.writeable = False
         g = gumbel_from_uniform(u)
-        assert u.tolist() == [0.0, 0.25, 1.0 / math.e, 0.5, 1.0 - 2.0**-53]
         assert g.flags.writeable and not np.shares_memory(g, u)
         clipped = np.clip(u, np.finfo(np.float64).tiny, 1.0 - 2.0**-53)
         assert g.tolist() == (-np.log(-np.log(clipped))).tolist()

@@ -319,6 +319,15 @@ class TestBatchedEstimators:
         )
         assert estimate_independent_collision(p, q, trials, RandomSource(16)) == hits / trials
 
+    @pytest.mark.parametrize(
+        "estimate", [estimate_gumbel_collision, estimate_independent_collision]
+    )
+    def test_zero_trials_rejected(self, estimate):
+        # an empty estimate has no rate: not nan, not a division by zero
+        p, q = random_pair(4, RandomSource(18))
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            estimate(p, q, 0, RandomSource(19))
+
     def test_independent_estimate_matches_analytic(self):
         p = Categorical([0.6, 0.4])
         q = Categorical([0.4, 0.6])
@@ -360,7 +369,7 @@ class TestBlockedGumbelEstimate:
     def test_equals_one_shot_formula(self, case, monkeypatch):
         vocab, trials, block = self.CASES[case]
         if block is not None:
-            monkeypatch.setattr(oracle_mod, "NOISE_BLOCK", block, raising=False)
+            monkeypatch.setattr(oracle_mod, "NOISE_BLOCK", block)
         p, q = random_pair(vocab, RandomSource(31), 1.5, closeness=0.8)
         blocked, one_shot = RandomSource(32), RandomSource(32)
         got = estimate_gumbel_collision(p, q, trials, blocked)

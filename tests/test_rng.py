@@ -127,13 +127,14 @@ class TestBatchedKeys:
 
 def _frozen(a) -> np.ndarray:
     a = np.array(a)
-    a.flags.writeable = False  # a stray in-place write raises
+    a.flags.writeable = False
     return a
 
 
 class TestFreshOutputs:
     # the engine passes slices of its key tables to these functions: each
-    # must leave its inputs as they were and return an array of its own
+    # must leave its inputs as they were (read-only here, so a stray
+    # in-place write raises) and return an array of its own
     TABLE = _frozen(np.array(TestBatchedKeys.KEYS * 2, dtype=np.uint64).reshape(7, 2))
 
     def _check(self, out, *inputs):
@@ -145,20 +146,12 @@ class TestFreshOutputs:
         keys, parts = self.TABLE[:, 0], _frozen(np.arange(7))
         for args in [(), ("draft",), (parts,), ("verify", parts, 3)]:
             self._check(derive_keys(keys, *args), keys, parts)
-        scalar = [RandomSource.from_key(k).derive("verify", i, 3).key
-                  for i, k in enumerate(keys.tolist())]
-        assert derive_keys(keys, "verify", parts, 3).tolist() == scalar
-        assert np.array_equal(self.TABLE, np.array(TestBatchedKeys.KEYS * 2, np.uint64).reshape(7, 2))
 
     def test_uniforms_at(self):
         keys = self.TABLE[:, 1:]
         for counters in [_frozen(np.arange(1, 5, dtype=np.uint64)), _frozen(np.arange(1, 5))]:
-            out = uniforms_at(keys, counters)
-            self._check(out, keys, counters)
-            assert counters.tolist() == [1, 2, 3, 4]
-        single = uniforms_at(self.TABLE[0, 0], 1)
-        self._check(single, self.TABLE)
-        assert single.tolist() == [RandomSource.from_key(int(self.TABLE[0, 0])).draw_uniform01()]
+            self._check(uniforms_at(keys, counters), keys, counters)
+        self._check(uniforms_at(self.TABLE[0, 0], 1), self.TABLE)
 
     def test_uniforms(self):
         source, replay = RandomSource(9), RandomSource(9)
