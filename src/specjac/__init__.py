@@ -29,11 +29,8 @@ from .model import (
 from .oracle import (
     EmpiricalLaw,
     TestReport,
-    acceptance_rate_check,
     collect,
-    coupling_bound_sweep,
     gof_test,
-    hamming_nfe_correlation,
     run_lossless_suite,
     tv_to_exact,
 )
@@ -68,18 +65,15 @@ __all__ = [
     "TabularModel",
     "TargetSampler",
     "TestReport",
-    "acceptance_rate_check",
     "apply_processors",
     "build_config",
     "collect",
-    "coupling_bound_sweep",
     "decode_sjd",
     "decode_trials",
     "decode_vanilla",
     "enumerate_sequence_distribution",
     "gof_test",
     "gs_couple",
-    "hamming_nfe_correlation",
     "independent_collision",
     "mix_cfg",
     "mrs",

@@ -100,24 +100,9 @@ class TabularModel:
     def vocab_size(self) -> int:
         return self.spec.vocab_size
 
-    def context_key(self, prefix: Sequence[int]) -> tuple[int, ...]:
-        """Last ``context_order`` tokens, left-padded with BOS."""
-        k = self.spec.context_order
-        if k == 0:
-            return ()
-        tail = tuple(prefix[-k:])
-        if len(tail) < k:
-            tail = (BOS,) * (k - len(tail)) + tail
-        return tail
-
-    def logits(self, context: tuple[int, ...], uncond: bool = False) -> Logits:
-        """Stored logits of one context (a ``context_key``): the one-row
-        case of :meth:`logit_rows`."""
-        return Logits(self.logit_rows(np.array([context], dtype=np.int64), uncond).values[0])
-
     def logit_rows(self, contexts: np.ndarray, uncond: bool = False) -> Logits:
         """Stored logits of every row of an ``(R, context_order)`` array of
-        context keys, as an ``(R, vocab_size)`` matrix.
+        contexts (token ids, BOS-padded), as an ``(R, vocab_size)`` matrix.
 
         Row r holds the normals of the stream ``root.derive(*contexts[r])``
         (``root.derive("root")`` at order 0), divided by the flatness; BOS
@@ -139,11 +124,12 @@ class TargetSampler:
 
     This is the distribution every decoder must reproduce; losslessness is
     defined relative to it.  It is a row table over context codes: the code
-    of a ``context_key`` is its base-(V+1) number, digit 0 for BOS and digit
-    t + 1 for token t, and ``codes`` reads the codes of many positions of a
-    token matrix at once.  ``rows`` maps codes to rows of ``probs`` / ``cdf``
-    through one sorted-code lookup; rows are built on first use, all missing
-    rows of a call in one bulk build.
+    of a context (the last ``context_order`` tokens, BOS-padded) is its
+    base-(V+1) number, digit 0 for BOS and digit t + 1 for token t, and
+    ``codes`` reads the codes of many positions of a token matrix at once.
+    ``rows`` maps codes to rows of ``probs`` / ``cdf`` through one
+    sorted-code lookup; rows are built on first use, all missing rows of a
+    call in one bulk build.
     Row ``UNIFORM_ROW`` is the uniform law (the Jacobi draft initializer).
     One table serves every trial of a model and sampling configuration.
     """

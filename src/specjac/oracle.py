@@ -1,5 +1,5 @@
 """Ground-truth machinery: exact enumeration targets, empirical collection,
-and the statistical tests that decide losslessness and coupling-cost claims.
+the statistical tests that decide losslessness, and the coupling estimators.
 
 The losslessness verdict is two-sided: an interpretable total-variation gate
 whose threshold is calibrated from the vanilla decoder (trusted by
@@ -16,10 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.stats import chi2 as chi2_dist
-from scipy.stats import pearsonr
 
-from .couplers import gumbel_argmax, gumbel_from_uniform, inverse_cdf_sample, mrs_accepts
-from .decoder import CouplerKind, DecodeStats, decode_trials, trial_keys
+from .couplers import gumbel_argmax, gumbel_from_uniform, inverse_cdf_sample
+from .decoder import CouplerKind, decode_trials, trial_keys
 from .model import (
     SamplingParams,
     TabularModel,
@@ -227,34 +226,6 @@ def generate_pairs(
     return pairs
 
 
-def acceptance_rate_check(
-    p: Categorical,
-    q: Categorical,
-    trials: int,
-    rng: RandomSource,
-    name: str = "acceptance-rate",
-) -> TestReport:
-    """Empirical accept fraction of rejection sampling vs the analytic rate.
-
-    Draws every x ~ q from the ``draft`` substream, runs the engine's accept
-    test (:func:`mrs_accepts`, as strict as ``mrs``) on the ``accept``
-    substream, and compares the accept fraction to 1 - TV(p, q) within three
-    binomial standard errors.
-    """
-    if trials < 10**3:
-        raise ValueError("trials must be >= 1000")
-    expected = 1.0 - tv_distance(p, q)
-    x = inverse_cdf_sample(q, rng.derive("draft").uniforms(trials))
-    u = rng.derive("accept").uniforms(trials)
-    observed = int(mrs_accepts(u, p.probs[x], q.probs[x]).sum()) / trials
-    sigma = math.sqrt(expected * (1.0 - expected) / trials)
-    diff = abs(observed - expected)
-    return TestReport(
-        name, observed, 3.0 * sigma, diff <= 3.0 * sigma + 1e-12, trials,
-        notes=f"analytic={expected:.6f} diff={diff:.6f}",
-    )
-
-
 def pair_coupling(
     p: Categorical, q: Categorical, trials: int, rng: RandomSource
 ) -> tuple[float, ...]:
@@ -269,74 +240,6 @@ def pair_coupling(
         1.0 - tv, estimate_gumbel_collision(p, q, trials, rng.derive("gumbel")),
         (1.0 - tv) / (1.0 + tv), float(np.exp(-0.5 * (renyi2_entropy(p) + renyi2_entropy(q)))),
     )
-
-
-def coupling_bound_sweep(
-    pairs: Sequence[tuple[Categorical, Categorical]],
-    trials: int,
-    rng: RandomSource,
-) -> list[TestReport]:
-    """Check the coupling-cost bounds on every pair.
-
-    Per pair: (i) shared-noise collision is at least (1-TV)/(1+TV) - 3 sigma,
-    (ii) and at most (1-TV) + 3 sigma, (iii) independent-stream collision
-    matches sum p*q within 3 sigma, (iv) sum p*q stays below the Renyi-2
-    bound (analytic, no sampling).
-    """
-    reports: list[TestReport] = []
-    for i, (p, q) in enumerate(pairs):
-        tv, analytic, emp, upper, gumbel, lower, bound = pair_coupling(
-            p, q, trials, rng.derive("sweep", i)
-        )
-        sigma_lo = math.sqrt(lower * (1.0 - lower) / trials)
-        sigma_hi = math.sqrt(upper * (1.0 - upper) / trials)
-        reports.append(TestReport(
-            f"coupling.gumbel-lower.{i}", gumbel, lower - 3.0 * sigma_lo,
-            gumbel >= lower - 3.0 * sigma_lo - 1e-12, trials,
-            notes=f"tv={tv:.6f} bound={lower:.6f}",
-        ))
-        reports.append(TestReport(
-            f"coupling.gumbel-upper.{i}", gumbel, upper + 3.0 * sigma_hi,
-            gumbel <= upper + 3.0 * sigma_hi + 1e-12, trials,
-            notes=f"tv={tv:.6f} bound={upper:.6f}",
-        ))
-        sigma_c = math.sqrt(analytic * (1.0 - analytic) / trials)
-        reports.append(TestReport(
-            f"coupling.independent.{i}", emp, 3.0 * sigma_c,
-            abs(emp - analytic) <= 3.0 * sigma_c + 1e-12, trials,
-            notes=f"analytic={analytic:.6f}",
-        ))
-        reports.append(TestReport(
-            f"coupling.renyi-bound.{i}", analytic, bound + 1e-12,
-            analytic <= bound + 1e-12, 0,
-            notes="analytic Cauchy-Schwarz bound",
-        ))
-    return reports
-
-
-def hamming_nfe_correlation(
-    decode_fn: Callable[[np.ndarray], DecodeStats],
-    runs: int,
-    rng: RandomSource,
-    threshold: float = 0.3,
-    name: str = "hamming-nfe-correlation",
-) -> TestReport:
-    """Pearson correlation between per-run mean draft churn and per-run NFE;
-    ``decode_fn`` maps ``trial_keys(rng, runs)`` to the DecodeStats of the
-    runs; a run without a hamming value is skipped."""
-    if runs < 100:
-        raise ValueError("runs must be >= 100")
-    stats = decode_fn(trial_keys(rng, runs))
-    hammings = np.array(stats.mean_hamming(), dtype=np.float64)  # None reads NaN
-    seen = ~np.isnan(hammings)
-    hammings, nfes = hammings[seen], stats.nfe[seen]
-    if len(hammings) < 2 or np.std(hammings) == 0.0 or np.std(nfes) == 0.0:
-        return TestReport(
-            name, 1.0, threshold, True, len(hammings),
-            notes="skipped: degenerate (zero-variance) statistics",
-        )
-    r = float(pearsonr(hammings, nfes).statistic)
-    return TestReport(name, r, threshold, r > threshold, len(hammings))
 
 
 # ---------------------------------------------------------------------------

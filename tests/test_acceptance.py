@@ -2,26 +2,31 @@
 
 One test per criterion; each prints a PASS/FAIL line (visible with
 ``pytest tests/test_acceptance.py -s``) before asserting.  Criterion 1 is
-the flagship run and takes a few minutes; everything else finishes in
+the flagship run and takes about 30 s; everything else finishes in
 seconds.
 """
 
 import math
 
 import numpy as np
-from scipy.stats import ttest_rel
+from scipy.stats import pearsonr, ttest_rel
 
 import specjac.decoder as decoder_mod
 from specjac.cli import EXIT_OK, main
-from specjac.couplers import MrsOutcome, inverse_cdf_rows, mrs, mrs_joint_distribution
+from specjac.couplers import (
+    MrsOutcome,
+    inverse_cdf_rows,
+    inverse_cdf_sample,
+    mrs,
+    mrs_accepts,
+    mrs_joint_distribution,
+)
 from specjac.decoder import CouplerKind, decode_trials, trial_keys
 from specjac.model import ModelSpec, SamplingParams, TabularModel, TargetSampler
 from specjac.oracle import (
-    acceptance_rate_check,
     estimate_gumbel_collision,
     estimate_independent_collision,
     generate_pairs,
-    hamming_nfe_correlation,
     random_pair,
     run_lossless_suite,
 )
@@ -74,20 +79,26 @@ def test_criterion_01_lossless_output_law():
 
 
 def test_criterion_02_acceptance_rate_identity():
-    """Empirical rejection-sampling accept rate equals 1 - TV."""
+    """Empirical rejection-sampling accept rate equals 1 - TV: every x ~ q
+    from the ``draft`` substream, the engine's accept test on the ``accept``
+    substream, within three binomial standard errors."""
     master = RandomSource(MASTER_SEED).derive("acceptance-rate")
     vocabs = [2, 8, 64]
+    trials = 10**5
     failures = []
     count = 0
     for vocab in vocabs:
         pairs = generate_pairs(vocab, 17 if vocab != 64 else 16, master.derive("pairs", vocab))
         for i, (p, q) in enumerate(pairs):
-            report = acceptance_rate_check(
-                p, q, 10**5, master.derive("mc", vocab, i), name=f"ar.{vocab}.{i}"
-            )
+            rng = master.derive("mc", vocab, i)
+            expected = 1.0 - tv_distance(p, q)
+            x = inverse_cdf_sample(q, rng.derive("draft").uniforms(trials))
+            u = rng.derive("accept").uniforms(trials)
+            observed = int(mrs_accepts(u, p.probs[x], q.probs[x]).sum()) / trials
+            sigma = math.sqrt(expected * (1.0 - expected) / trials)
             count += 1
-            if not report.passed:
-                failures.append(report.name)
+            if abs(observed - expected) > 3.0 * sigma + 1e-12:
+                failures.append(f"ar.{vocab}.{i}")
     _verdict(2, "accept rate = 1 - TV", not failures,
              f"{count} pairs over vocab {vocabs}, m=1e5, failing={failures or 'none'}")
 
@@ -240,18 +251,17 @@ def test_criterion_07_window_size_behavior():
 
 
 def test_criterion_08_hamming_nfe_correlation():
-    """Draft churn predicts NFE under independent drafting."""
-    model = TabularModel(FLAT_MODEL)
-    sampler = TargetSampler(model, SAMPLING)
-
-    def decode_fn(keys):
-        return decode_trials(sampler, FLAT_N, keys, CouplerKind.INDEPENDENT, 8)[1]
-
-    report = hamming_nfe_correlation(
-        decode_fn, 300, RandomSource(MASTER_SEED).derive("hamming-nfe")
-    )
-    _verdict(8, "hamming-NFE correlation", report.passed,
-             f"pearson r={report.value:.3f} over {report.samples} runs (threshold 0.3)")
+    """Draft churn predicts NFE under independent drafting: Pearson r of
+    per-run mean churn against per-run NFE; runs without a churn record are
+    left out."""
+    sampler = TargetSampler(TabularModel(FLAT_MODEL), SAMPLING)
+    keys = trial_keys(RandomSource(MASTER_SEED).derive("hamming-nfe"), 300)
+    stats = decode_trials(sampler, FLAT_N, keys, CouplerKind.INDEPENDENT, 8)[1]
+    hammings = np.array(stats.mean_hamming(), dtype=np.float64)  # None reads NaN
+    seen = ~np.isnan(hammings)
+    r = float(pearsonr(hammings[seen], stats.nfe[seen]).statistic)
+    _verdict(8, "hamming-NFE correlation", r > 0.3,
+             f"pearson r={r:.3f} over {int(seen.sum())} runs (threshold 0.3)")
 
 
 def test_criterion_09_beta_stabilization():

@@ -1,0 +1,66 @@
+"""Every function and public method under ``src/specjac`` has a caller there.
+
+A helper that only tests call belongs under ``tests/``, not in the package.
+The scan reads each module's syntax tree (``__init__.py`` only re-exports,
+so its imports are not uses): a module-level function is used when some
+module loads it by name or attribute, a public method when some module
+loads it by attribute.  ``ALLOWED`` lists the few entry points called from
+outside src, each with its reason.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "specjac").glob("*.py") if p.name != "__init__.py")
+SPANS = ROOT / "benchmarks" / "spans.py"
+
+ALLOWED = {
+    ("specjac.decoder", "decode_sjd"): "README library API (one-trial SJD decode)",
+    ("specjac.decoder", "decode_vanilla"): "README library API (one-trial vanilla decode)",
+    ("specjac.couplers", "mrs_joint_distribution"): "exact joint law for the decoder-law oracle",
+    ("specjac.cli", "entrypoint"): "console script in pyproject.toml",
+}
+
+
+def _traced() -> set:
+    """(module, qualname) of every benchmark tracer target: the tracer wraps
+    them by name, so renaming or deleting one breaks the benchmark."""
+    spec = importlib.util.spec_from_file_location("_bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {(module, qualname) for _, module, qualname, _ in spans.TARGETS}
+
+
+def _definitions(tree: ast.Module):
+    """(qualname, name, is_method) of each module-level function and each
+    public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, True
+
+
+def test_every_definition_has_a_caller_in_src():
+    trees = {f"specjac.{path.stem}": ast.parse(path.read_text()) for path in MODULES}
+    names, attributes = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    allowed = _traced() | ALLOWED.keys()
+    unused = [
+        f"{module}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, name, is_method in _definitions(tree)
+        if (module, qualname) not in allowed
+        and name not in attributes
+        and (is_method or name not in names)
+    ]
+    assert unused == [], f"defined in src but called only from outside it: {unused}"

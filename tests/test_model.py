@@ -38,8 +38,21 @@ def _code(sampler, prefix):
     return int(sampler.codes(seq, [0], [seq.shape[1]])[0])
 
 
+def _context_key(model, prefix):
+    """Reference: the last ``context_order`` tokens of ``prefix``, left-padded
+    with BOS."""
+    k = model.spec.context_order
+    tail = tuple(prefix[-k:]) if k else ()
+    return (BOS,) * (k - len(tail)) + tail
+
+
+def _logits(model, key, uncond=False):
+    """Stored logits of one context key: a one-row ``logit_rows`` call."""
+    return Logits(model.logit_rows(np.array([key], dtype=np.int64), uncond).values[0])
+
+
 def _key_code(key, vocab):
-    """Reference: the base-(vocab + 1) number of a ``context_key``."""
+    """Reference: the base-(vocab + 1) number of a ``_context_key``."""
     code = 0
     for token in key:
         code = code * (vocab + 1) + token + 1
@@ -47,13 +60,13 @@ def _key_code(key, vocab):
 
 
 class TestEvalNext:
-    """Next-position logits: ``TabularModel.logits`` of a ``context_key``."""
+    """Next-position logits: ``_logits`` of a ``_context_key``."""
 
     def test_deterministic_across_calls_and_instances(self):
         a = TabularModel(SPEC)
         b = TabularModel(SPEC)
-        assert np.array_equal(a.logits((BOS, BOS)).values, a.logits((BOS, BOS)).values)
-        assert np.array_equal(a.logits((1, 2)).values, b.logits((1, 2)).values)
+        assert np.array_equal(_logits(a, (BOS, BOS)).values, _logits(a, (BOS, BOS)).values)
+        assert np.array_equal(_logits(a, (1, 2)).values, _logits(b, (1, 2)).values)
 
     def test_markov_property(self):
         sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
@@ -65,20 +78,22 @@ class TestEvalNext:
 
     def test_bos_padding_defines_short_prefixes(self):
         model = TabularModel(SPEC)
-        assert model.context_key([]) == (BOS, BOS)
-        assert model.context_key([3]) == (BOS, 3)
-        assert model.context_key([1, 2, 3]) == (2, 3)
-        assert model.logits(model.context_key([])).vocab_size == 4
+        assert _context_key(model, []) == (BOS, BOS)
+        assert _context_key(model, [3]) == (BOS, 3)
+        assert _context_key(model, [1, 2, 3]) == (2, 3)
+        assert _logits(model, _context_key(model, [])).vocab_size == 4
 
     def test_flatness_limit_approaches_uniform(self):
         spec = ModelSpec(vocab_size=8, context_order=1, flatness=1e6, seed=0)
-        probs = softmax(TabularModel(spec).logits((2,)).values)
+        probs = softmax(_logits(TabularModel(spec), (2,)).values)
         assert probs.max() - probs.min() < 1e-4
 
     def test_distinct_seeds_give_distinct_tables(self):
         other = TabularModel(ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=12))
         model = TabularModel(SPEC)
-        assert not np.array_equal(model.logits((BOS, BOS)).values, other.logits((BOS, BOS)).values)
+        assert not np.array_equal(
+            _logits(model, (BOS, BOS)).values, _logits(other, (BOS, BOS)).values
+        )
 
 
 class TestEvalWindow:
@@ -117,13 +132,13 @@ class TestTargetDistribution:
     def test_plain_softmax_when_unprocessed(self):
         model = TabularModel(SPEC)
         dist = TargetSampler(model, SamplingParams()).dist([1])
-        assert np.allclose(dist.probs, softmax(model.logits((BOS, 1)).values))
+        assert np.allclose(dist.probs, softmax(_logits(model, (BOS, 1)).values))
 
     def test_greedy_limit_is_point_mass(self):
         model = TabularModel(SPEC)
         dist = TargetSampler(model, SamplingParams(top_k=1)).dist([1])
         assert np.count_nonzero(dist.probs) == 1
-        assert dist.probs[np.argmax(model.logits((BOS, 1)).values)] == 1.0
+        assert dist.probs[np.argmax(_logits(model, (BOS, 1)).values)] == 1.0
 
     def test_guided_mix_with_zero_unconditional_sharpens(self, monkeypatch):
         model = TabularModel(SPEC)
@@ -142,7 +157,7 @@ class TestTargetDistribution:
         model = TabularModel(spec)
         sampling = SamplingParams(temperature=0.7, top_k=4, top_p=0.9, cfg_scale=2.5)
         dist = TargetSampler(model, sampling).dist([2])
-        mixed = mix_cfg(model.logits((2,)), model.logits((2,), uncond=True), 2.5)
+        mixed = mix_cfg(_logits(model, (2,)), _logits(model, (2,), uncond=True), 2.5)
         manual = apply_processors(mixed, 0.7, 4, 0.9)
         assert np.allclose(dist.probs, manual.probs)
 
@@ -150,7 +165,7 @@ class TestTargetDistribution:
         model = TabularModel(SPEC)
         shadow = TabularModel(ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=12))
         assert np.array_equal(
-            model.logits((1, 2), uncond=True).values, shadow.logits((1, 2)).values
+            _logits(model, (1, 2), uncond=True).values, _logits(shadow, (1, 2)).values
         )
 
 
@@ -160,9 +175,9 @@ class TestTargetSampler:
         sampling = SamplingParams(temperature=1.3, top_k=3, cfg_scale=1.5)
         sampler = TargetSampler(model, sampling)
         for prefix in ([], [1], [3, 2], [0, 1, 2, 3]):
-            k = model.context_key(prefix)
+            k = _context_key(model, prefix)
             expected = apply_processors(
-                mix_cfg(model.logits(k), model.logits(k, uncond=True), 1.5), 1.3, 3, None
+                mix_cfg(_logits(model, k), _logits(model, k, uncond=True), 1.5), 1.3, 3, None
             )
             assert np.array_equal(sampler.dist(prefix).probs, expected.probs)
 
@@ -187,7 +202,7 @@ class TestTargetSampler:
 
 
 class TestContextCodes:
-    """A context id is the base-(V+1) code of the ``context_key``: digit 0
+    """A context id is the base-(V+1) code of the ``_context_key``: digit 0
     for BOS, digit t + 1 for token t."""
 
     @settings(max_examples=100, deadline=None)
@@ -212,7 +227,7 @@ class TestContextCodes:
             seq[r, : len(prefix) + 1] = prefix + [token]
         lengths, trials = np.array([len(p) for p in prefixes]), np.arange(len(prefixes))
         codes = sampler.codes(seq, trials, lengths)
-        keys = [model.context_key(prefix) for prefix in prefixes]
+        keys = [_context_key(model, prefix) for prefix in prefixes]
         assert codes.tolist() == [_key_code(key, vocab) for key in keys]
         assert all(0 <= code < (vocab + 1) ** order for code in codes.tolist())
         stepped = sampler.codes(seq, trials, lengths + 1)
@@ -233,7 +248,7 @@ class TestContextCodes:
         grid = sampler.codes(matrix, trials[:, None], np.arange(width + 1))
         assert grid.shape == (len(codes), width + 1)
         for j in range(width + 1):
-            expected = [_key_code(model.context_key(row[:j]), vocab) for row in matrix.tolist()]
+            expected = [_key_code(_context_key(model, row[:j]), vocab) for row in matrix.tolist()]
             assert sampler.codes(matrix, trials, j).tolist() == expected
             assert grid[:, j].tolist() == expected
         assert sampler.codes(np.empty((1, 0), dtype=np.int64), [0], [0]).tolist() == [0]
@@ -305,10 +320,10 @@ class TestBulkBuild:
         model = bulk.model
         root = RandomSource(seed).derive("logit-table")
         for prefix in prefixes:
-            key = model.context_key(prefix)
+            key = _context_key(model, prefix)
             stream = root.derive(*key) if key else root.derive("root")
             expected = stream.normals(vocab) / flatness
-            assert model.logits(key).values.tobytes() == expected.tobytes()
+            assert _logits(model, key).values.tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

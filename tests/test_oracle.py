@@ -1,4 +1,4 @@
-"""Statistical harness: empirical laws, goodness of fit, bound sweeps."""
+"""Statistical harness: empirical laws, goodness of fit, coupling estimators."""
 
 import csv
 import itertools
@@ -20,7 +20,6 @@ from specjac.couplers import (
 )
 from specjac.decoder import (
     CouplerKind,
-    DecodeStats,
     decode_trials,
     decode_vanilla,
 )
@@ -34,22 +33,19 @@ from specjac.model import (
 )
 from specjac.oracle import (
     EmpiricalLaw,
-    acceptance_rate_check,
     collect,
-    coupling_bound_sweep,
     estimate_gumbel_collision,
     estimate_independent_collision,
     expected_sampling_tv,
     expected_sampling_tv_std,
     generate_pairs,
     gof_test,
-    hamming_nfe_correlation,
     pair_coupling,
     random_pair,
     run_lossless_suite,
     tv_to_exact,
 )
-from specjac.prob import Categorical, tv_distance
+from specjac.prob import Categorical, independent_collision, tv_distance
 from specjac.rng import RandomSource
 
 SPEC = ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=11)
@@ -267,42 +263,13 @@ class TestVectorMatchesDictReference:
         )
 
 
-class TestAcceptanceRateCheck:
-    def test_identical_is_exactly_one(self):
-        d = Categorical([0.3, 0.7])
-        report = acceptance_rate_check(d, d, 2000, RandomSource(9))
-        assert report.passed
-        assert report.value == 1.0
-
-    def test_disjoint_is_exactly_zero(self):
-        report = acceptance_rate_check(
-            Categorical([1, 0]), Categorical([0, 1]), 2000, RandomSource(10)
-        )
-        assert report.passed
-        assert report.value == 0.0
-
-    def test_hand_pair_within_three_sigma(self):
-        report = acceptance_rate_check(
-            Categorical([0.6, 0.4]), Categorical([0.4, 0.6]), 10**5, RandomSource(11)
-        )
-        assert report.passed
-        assert report.value == pytest.approx(0.8, abs=0.012)
-
-    def test_minimum_trials(self):
-        d = Categorical([0.5, 0.5])
-        with pytest.raises(ValueError):
-            acceptance_rate_check(d, d, 10, RandomSource(12))
-
-
 class TestBatchedEstimators:
     def test_gumbel_batch_matches_scalar_calls(self):
         p, q = random_pair(6, RandomSource(13), 1.5)
-        batched_rng = RandomSource(14)
         scalar_rng = RandomSource(14)
         trials = 200
-        noise = batched_rng.uniforms(trials * 6).reshape(trials, 6)
         hits = 0
-        for i in range(trials):
+        for _ in range(trials):
             x, y = gs_couple(p, q, sample_gumbel_noise(6, scalar_rng))
             hits += x == y
         assert estimate_gumbel_collision(p, q, trials, RandomSource(14)) == hits / trials
@@ -327,6 +294,16 @@ class TestBatchedEstimators:
         p, q = random_pair(4, RandomSource(18))
         with pytest.raises(ValueError, match="trials must be >= 1"):
             estimate(p, q, 0, RandomSource(19))
+
+    def test_binary_pairs_attain_maximal_cost(self):
+        rng = RandomSource(22)
+        pairs = generate_pairs(2, 10, rng.derive("pairs"))
+        trials = 10**5
+        for i, (p, q) in enumerate(pairs):
+            coll = estimate_gumbel_collision(p, q, trials, rng.derive("mc", i))
+            expected = 1.0 - tv_distance(p, q)
+            sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / trials)
+            assert abs(coll - expected) <= 3 * sigma + 1e-9
 
     def test_independent_estimate_matches_analytic(self):
         p = Categorical([0.6, 0.4])
@@ -380,78 +357,31 @@ class TestBlockedGumbelEstimate:
 
 
 class TestCouplingBoundSweep:
+    """The coupling statistics of one pair, as ``pair_coupling`` returns them
+    (the bands themselves are acceptance criteria 04 and 05)."""
+
     def test_identical_pairs_trivially_pass(self):
         d = Categorical([0.25, 0.25, 0.5])
-        reports = coupling_bound_sweep([(d, d)], 5000, RandomSource(18))
-        assert all(r.passed for r in reports)
-        gumbel = [r for r in reports if "gumbel-lower" in r.name][0]
-        assert gumbel.value == 1.0
+        assert estimate_gumbel_collision(d, d, 5000, RandomSource(18)) == 1.0
 
     def test_uniform_pairs_hit_renyi_bound_with_equality(self):
         u = Categorical.uniform(8)
-        reports = coupling_bound_sweep([(u, u)], 20000, RandomSource(19))
-        renyi = [r for r in reports if "renyi" in r.name][0]
-        assert renyi.value == pytest.approx(1.0 / 8.0, abs=1e-12)
-        assert renyi.value == pytest.approx(renyi.threshold, abs=1e-11)
-
-    def test_generated_pairs_all_pass(self):
-        pairs = generate_pairs(8, 12, RandomSource(20))
-        reports = coupling_bound_sweep(pairs, 20000, RandomSource(21))
-        failures = [r for r in reports if not r.passed]
-        assert failures == []
+        _, analytic, _, _, _, _, bound = pair_coupling(u, u, 20000, RandomSource(19))
+        assert analytic == pytest.approx(1.0 / 8.0, abs=1e-12)
+        assert analytic == pytest.approx(bound, abs=1e-11)
 
     def test_reports_read_the_pair_statistics(self):
         pairs = generate_pairs(8, 3, RandomSource(20))
-        reports = coupling_bound_sweep(pairs, 2000, RandomSource(21))
         for i, (p, q) in enumerate(pairs):
-            tv, analytic, emp, maximal, gumbel, lower, bound = pair_coupling(
-                p, q, 2000, RandomSource(21).derive("sweep", i)
-            )
+            rng = RandomSource(21).derive("sweep", i)
+            tv, analytic, emp, maximal, gumbel, lower, bound = pair_coupling(p, q, 2000, rng)
             assert (tv, maximal, lower) == (
                 tv_distance(p, q), 1.0 - tv_distance(p, q), (1.0 - tv) / (1.0 + tv)
             )
-            by_name = {r.name.rsplit(".", 1)[0]: r for r in reports[4 * i : 4 * i + 4]}
-            assert by_name["coupling.gumbel-lower"].value == gumbel
-            assert by_name["coupling.gumbel-upper"].notes == f"tv={tv:.6f} bound={maximal:.6f}"
-            assert by_name["coupling.independent"].value == emp
-            assert by_name["coupling.renyi-bound"].value == analytic
-            assert by_name["coupling.renyi-bound"].threshold == bound + 1e-12
-
-    def test_binary_pairs_attain_maximal_cost(self):
-        rng = RandomSource(22)
-        pairs = generate_pairs(2, 10, rng.derive("pairs"))
-        trials = 10**5
-        for i, (p, q) in enumerate(pairs):
-            coll = estimate_gumbel_collision(p, q, trials, rng.derive("mc", i))
-            expected = 1.0 - tv_distance(p, q)
-            sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / trials)
-            assert abs(coll - expected) <= 3 * sigma + 1e-9
-
-
-class TestHammingNfeCorrelation:
-    def _stats(self, hammings, nfes):
-        """Run k takes nfes[k] iterations, each changing hammings[k] of 8 slots."""
-        nfe = np.array(nfes)
-        steps = np.repeat(hammings, nfe)
-        none = np.zeros(0, np.int64)
-        return DecodeStats(nfe, np.ones_like(steps), steps, np.full_like(steps, 8),
-                           np.zeros(0), none, none)
-
-    def test_perfect_correlation(self):
-        def fn(keys):
-            assert len(keys) == 100
-            return self._stats(range(len(keys)), range(1, len(keys) + 1))
-
-        report = hamming_nfe_correlation(fn, 100, RandomSource(23))
-        assert report.passed
-        assert report.value == pytest.approx(1.0)
-
-    def test_degenerate_statistics_skip(self):
-        report = hamming_nfe_correlation(
-            lambda keys: self._stats([3] * len(keys), [7] * len(keys)), 100, RandomSource(24)
-        )
-        assert report.passed
-        assert "skipped" in report.notes
+            # each estimate reads its own child of the pair's stream
+            assert gumbel == estimate_gumbel_collision(p, q, 2000, rng.derive("gumbel"))
+            assert emp == estimate_independent_collision(p, q, 2000, rng.derive("independent"))
+            assert analytic == independent_collision(p, q) <= bound + 1e-12
 
 
 class TestLosslessSuite:
