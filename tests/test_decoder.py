@@ -1,6 +1,7 @@
 """Decode engines: progress, determinism, greedy agreement, stats recording."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -247,6 +248,39 @@ class TestLockstepBatch:
             assert seq == tuple(tokens[k].tolist()) and _trial(one, 0) == _trial(stats, k)
             seq, _ = decode_vanilla(model, SamplingParams(), 20, master.derive("trial", k))
             assert seq == tuple(vanilla[k].tolist())
+
+
+class TestEngineDigest:
+    """The bytes of the engine's tokens and of every ``DecodeStats`` column
+    over a fixed grid, chunk boundaries crossed: a refactor of the engine's
+    bookkeeping must leave this digest unchanged."""
+
+    # (spec, sampling, n, window)
+    GRID = [
+        (SPEC, SamplingParams(), 1, 3),  # n = 1, the window wider than n
+        (SPEC, SamplingParams(top_k=3, cfg_scale=1.5), 9, 1),  # W = 1, guided top-k
+        (ModelSpec(vocab_size=6, context_order=0, flatness=1.5, seed=2),
+         SamplingParams(), 7, 11),  # order 0, W > n
+        (FLAT_SPEC, SamplingParams(top_p=0.9, temperature=0.7, cfg_scale=1.5), 24, 6),
+        (ModelSpec(vocab_size=8, context_order=3, flatness=2.0, seed=4),
+         SamplingParams(top_k=5, temperature=1.3), 16, 5),
+        (FLAT_SPEC, SamplingParams(), 40, 12),
+    ]
+    VARIANTS = [(None, False)] + [(c, r) for c in CouplerKind for r in (False, True)]
+    DIGEST = "c2e25833b4a566f982621a1a71ff5d0fc93b82875aee0a0c21d583aa64d0fef1"
+
+    def test_digest(self, monkeypatch):
+        monkeypatch.setattr(decoder_mod, "TRIAL_CHUNK", 3)
+        digest = hashlib.sha256()
+        for spec, sampling, n, window in self.GRID:
+            sampler = TargetSampler(TabularModel(spec), sampling)
+            keys = trial_keys(RandomSource(n * window), 8)
+            for coupler, redraft in self.VARIANTS:
+                tokens, stats = decode_trials(sampler, n, keys, coupler, window, redraft)
+                for array in (tokens, *(getattr(stats, c) for c in COLUMNS)):
+                    digest.update(f"{array.dtype.str}{array.shape}".encode())
+                    digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 def _assert_list_means(stats, n):
