@@ -54,7 +54,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="YAML experiment config")
     parser.add_argument("--seed", type=int, help="override run.seed")
     parser.add_argument("--out", metavar="PATH", help="override output.path")
-    parser.add_argument("--format", choices=FORMAT_CHOICES, help="override output.format")
+    parser.add_argument("--format", choices=FORMAT_CHOICES, help="override output.format "
+                        "(read by verify-lossless; the other commands write csv)")
     for path in FIELDS:
         parser.add_argument(f"--{path}", dest=path, metavar="VALUE", help=argparse.SUPPRESS)
 

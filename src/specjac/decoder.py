@@ -83,14 +83,15 @@ def record_beta(new_probs: np.ndarray, draft_probs: np.ndarray) -> np.ndarray:
     return 1.0 - 0.5 * np.abs(new_probs - draft_probs).sum(axis=1)
 
 
-def record_hamming(
-    tokens: np.ndarray, prev_tokens: np.ndarray, comparable: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per trial (row): draft tokens changed versus the previous iteration,
-    over the ``comparable`` slots (those with a previous draft); returns the
-    per-row (changed, compared) counts."""
-    changed = (comparable & (tokens != prev_tokens)).sum(axis=1)
-    return changed, comparable.sum(axis=1)
+def record_hamming(tokens: np.ndarray, prev_tokens: np.ndarray, comparable: np.ndarray,
+                   rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial: draft tokens changed versus the previous iteration, over
+    the ``comparable`` slots (those with a previous draft).  Slot i belongs to
+    trial ``rows[i]`` of ``count``; returns the per-trial (changed, compared)
+    counts."""
+    changed = comparable & (tokens != prev_tokens)
+    return (np.bincount(rows[changed], minlength=count),
+            np.bincount(rows[comparable], minlength=count))
 
 
 def trial_keys(master: RandomSource, trials: int) -> np.ndarray:
@@ -162,26 +163,21 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
     With a ``log``, each iteration appends its statistics to it, naming the
     chunk's trial i as the run's trial ``offset + i``.
 
-    Slot state is window-relative: column j of row i is position
-    ``start[i] + j`` of trial ``live[i]``; columns below ``made[i]`` hold
-    slots that survived earlier iterations.  ``drow``/``prow`` are table rows
-    of a slot's draft law and previous draft law (``prow`` -1: no previous
-    draft, not re-drafted).  Finished trials leave the arrays; the rest
-    shift left by their progress.  ``out`` holds each trial's finalized
-    tokens, then its current drafts at the window's positions, where the
-    context codes of the window slots are read.
+    Slot state lives at (trial, position), where the tokens are: ``out``
+    holds finalized tokens, then current drafts; ``drow``, ``prow`` and
+    ``ptok`` hold a slot's draft-law row, previous draft-law row (-1: none,
+    not re-drafted) and previous draft token.  A window is the flat list of
+    slots ``start[i] + j``, j < width, of trial ``live[i]``: sliding it moves
+    nothing, and finished trials leave ``live``.  A slot still on the uniform
+    initializer's row (never a model row) has not been in a window: fresh.
 
     :func:`_redraft` is the one per-coupler function.  A slot's Gumbel noise
     is a function of its trial and position, so it is computed where it is
-    used and does not move with the slots.
+    used and is not stored with the slot.
     """
     count, uniform = len(keys), sampler.UNIFORM_ROW
-    cols = np.arange(window)
-    live = np.arange(count)
-    start, made = np.zeros(count, np.int64), np.zeros(count, np.int64)
-    slots = np.zeros((4, count, window), dtype=np.int64)  # tok, ptok, drow, prow
-    slots[2], slots[3] = uniform, -1
-    tok, ptok, drow, prow = slots
+    live, start = np.arange(count), np.zeros(count, np.int64)
+    drow, prow, ptok = np.full((3, count, n), np.reshape([uniform, -1, 0], (3, 1, 1)), np.int64)
     keyring = np.stack([derive_keys(keys, label) for label in ("draft", "verify", "gumbel")], 1)
     out = np.empty((count, n), dtype=np.int64)
 
@@ -190,73 +186,62 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
         if t >= 4 * n + 64:  # stall guard; progress is guaranteed per convention
             raise RuntimeError("decode_sjd failed to make progress")
         width = np.minimum(window, n - start)
-        in_win = cols < width[:, None]
-        pos = start[:, None] + cols
-        dkeys, vkeys = derive_keys(keyring[:, :2, None], t, pos[:, None]).swapaxes(0, 1)
+        first = np.cumsum(width) - width  # flat index of each trial's first slot
+        wb = np.repeat(np.arange(len(live)), width)
+        wj = np.arange(len(wb)) - first[wb]
+        tr, ps = live[wb], start[wb] + wj
+        dkeys, vkeys = derive_keys(keyring[wb, :2], t, ps[:, None]).T
 
         # Drafting.  Fresh slots sample independently from the uniform
         # initializer; surviving slots re-draw through the coupler; redraft
         # carry-overs (no previous draft) keep their verify-produced token.
-        fb, fj = np.nonzero(in_win & (cols >= made[:, None]))
-        drow[fb, fj], prow[fb, fj] = uniform, -1
-        tok[fb, fj] = inverse_cdf_rows(
-            sampler.probs, sampler.cdf, drow[fb, fj], uniforms_at(dkeys[fb, fj], 1)
+        dr, pr = drow[tr, ps], prow[tr, ps]
+        fresh, redo = dr == uniform, pr >= 0
+        out[tr[fresh], ps[fresh]] = inverse_cdf_rows(
+            sampler.probs, sampler.cdf, dr[fresh], uniforms_at(dkeys[fresh], 1)
         )
-        redo = in_win & (prow >= 0)
-        rb, rj = np.nonzero(redo)
-        tok[rb, rj] = _redraft(sampler, coupler, drow[rb, rj], prow[rb, rj], ptok[rb, rj],
-                               dkeys[rb, rj], keyring[rb, 2], pos[rb, rj])
+        at = tr[redo], ps[redo]
+        out[at] = _redraft(sampler, coupler, dr[redo], pr[redo], ptok[at], dkeys[redo],
+                           keyring[wb[redo], 2], ps[redo])
 
         # Evaluate every window in one parallel model call per trial.
-        wb, wj = np.nonzero(in_win)
-        out[live[wb], pos[wb, wj]] = tok[wb, wj]
-        ev = np.zeros_like(tok)
-        ev[wb, wj] = sampler.rows(sampler.codes(out, live[wb], pos[wb, wj]))
+        tok = out[tr, ps]
+        ev = sampler.rows(sampler.codes(out, tr, ps))
         probs = sampler.probs
         if log is not None:
-            changed, compared = record_hamming(tok, ptok, redo)
-            sb, sj = np.nonzero(in_win & (drow != uniform))
-            betas = record_beta(probs[ev[sb, sj]], probs[drow[sb, sj]])
+            changed, compared = record_hamming(tok, ptok[tr, ps], redo, wb, len(live))
+            seen = ~fresh
+            betas = record_beta(probs[ev[seen]], probs[dr[seen]])
 
         # Verify in order until the first rejection; one scalar residual
         # draw per rejecting trial, through ``decoder.mrs`` (see _residuals).
-        x = tok[wb, wj]
-        accept = np.ones_like(in_win)
-        accept[wb, wj] = mrs_accepts(
-            uniforms_at(vkeys[wb, wj], 1), probs[ev[wb, wj], x], probs[drow[wb, wj], x]
-        )
-        rejected = ~accept.all(axis=1)
-        stop = np.where(rejected, np.argmin(accept, axis=1), width)
-        xb = np.flatnonzero(rejected)
-        xj = stop[xb]
-        residual = _residuals(sampler, ev[xb, xj], drow[xb, xj], tok[xb, xj], vkeys[xb, xj])
-        final = tok.copy()
+        reject = ~mrs_accepts(uniforms_at(vkeys, 1), probs[ev, tok], probs[dr, tok])
+        stop = width.copy()
+        np.minimum.at(stop, wb[reject], wj[reject])
+        rejected = stop < width
+        x = (first + stop)[rejected]
+        at = tr[x], ps[x]
+        out[at] = _residuals(sampler, ev[x], dr[x], tok[x], vkeys[x])
         if redraft:
             # the residual token becomes the slot's next draft, its law the
             # new evaluation; it is accepted with certainty next iteration
             done = stop
-            tok[xb, xj], drow[xb, xj], prow[xb, xj] = residual, ev[xb, xj], -1
+            drow[at], prow[at] = ev[x], -1
         else:
             done = stop + rejected
-            final[xb, xj] = residual
-        ab, aj = np.nonzero(cols < done[:, None])
-        out[live[ab], start[ab] + aj] = final[ab, aj]
 
         # Slide: survivors past the scan stop carry the new evaluation as
         # their draft law and their current draft as previous data.
-        slide = in_win & (cols > stop[:, None])
-        ptok[slide], prow[slide], drow[slide] = tok[slide], drow[slide], ev[slide]
+        slide = wj > stop[wb]
+        at = tr[slide], ps[slide]
+        ptok[at], prow[at], drow[at] = tok[slide], dr[slide], ev[slide]
 
         if log is not None:
-            trial = offset + live
-            log.append((np.stack([trial, done, changed, compared]),
-                        np.stack([trial[sb], start[sb] + sj]), betas))
-        start, made = start + done, width - done
-
+            log.append((np.stack([offset + live, done, changed, compared]),
+                        np.stack([offset + tr[seen], ps[seen]]), betas))
+        start = start + done
         keep = start < n
-        shift = np.minimum(cols + done[:, None], window - 1)[keep]
-        live, start, made, keyring = (a[keep] for a in (live, start, made, keyring))
-        tok, ptok, drow, prow = slots = np.take_along_axis(slots[:, keep], shift[None], axis=2)
+        live, start, keyring = live[keep], start[keep], keyring[keep]
         t += 1
     return out
 

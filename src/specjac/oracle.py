@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc
 
 from .couplers import gumbel_argmax, gumbel_from_uniform, inverse_cdf_sample
 from .decoder import CouplerKind, decode_trials, trial_keys
@@ -140,7 +140,7 @@ def gof_test(
         )
     statistic = float(((obs - exp) ** 2 / exp).sum())
     dof = ncells - 1
-    p_value = float(chi2_dist.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))  # the chi-square survival function
     return TestReport(
         name, p_value, alpha, p_value > alpha, total,
         notes=f"chi2={statistic:.3f} dof={dof} pooled={int(small.sum())}",
@@ -152,9 +152,11 @@ def gof_test(
 # Gumbel argmax and accept test, applied to whole arrays of draws.
 # ---------------------------------------------------------------------------
 
-# Gumbel noise entries drawn and reduced at a time (256 KB of float64): a
-# block's uniforms, noise and scores stay in cache.
-NOISE_BLOCK = 2**15
+# Gumbel noise entries drawn and reduced at a time (128 KB of float64): a
+# block's uniforms, noise and scores stay in cache.  256 KB blocks were as
+# fast only while the C allocator reused their arrays; in a process that has
+# not loaded scipy.stats it pages them in afresh for every block.
+NOISE_BLOCK = 2**14
 
 
 def estimate_independent_collision(

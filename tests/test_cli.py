@@ -399,18 +399,28 @@ class TestSweep:
         assert main(["sweep", "--axis", "L", "--values", ","]) == EXIT_CONFIG
 
 
-def test_console_entrypoint_smoke(tmp_path):
-    out = tmp_path / "gen.csv"
-    # the child imports the specjac under test, installed or not
+def _child(*args):
+    """Run ``python *args`` in a child that imports the specjac under test,
+    installed or not."""
     src = os.path.dirname(os.path.dirname(specjac.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "specjac.cli", "generate",
-         "--run.trials", "3", "--out", str(out)],
-        capture_output=True,
-        text=True,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entrypoint_smoke(tmp_path):
+    out = tmp_path / "gen.csv"
+    proc = _child("-m", "specjac.cli", "generate", "--run.trials", "3", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert "generate:" in proc.stderr
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats is most of the package's import time and memory; the
+    # chi-square tail comes from scipy.special
+    proc = _child("-c", "import sys, specjac.cli; print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -371,13 +371,16 @@ class TestRecordBeta:
 
 class TestRecordHamming:
     def test_no_comparable_positions(self):
-        tokens = np.array([[1, 2], [0, 3]])
-        changed, compared = record_hamming(tokens, tokens + 1, np.zeros((2, 2), dtype=bool))
+        tokens = np.array([1, 2, 0, 3])
+        changed, compared = record_hamming(
+            tokens, tokens + 1, np.zeros(4, dtype=bool), np.array([0, 0, 1, 1]), 2
+        )
         assert changed.tolist() == [0, 0] and compared.tolist() == [0, 0]
 
     def test_counts_changes(self):
         changed, compared = record_hamming(
-            np.array([[1, 2, 0, 2]]), np.array([[1, 3, 1, 2]]), np.ones((1, 4), dtype=bool)
+            np.array([1, 2, 0, 2]), np.array([1, 3, 1, 2]), np.ones(4, dtype=bool),
+            np.zeros(4, dtype=np.int64), 1,
         )
         assert (changed.tolist(), compared.tolist()) == ([2], [4])
 
@@ -389,8 +392,11 @@ class TestRecordHamming:
         u = RandomSource(17).uniforms(2 * 4 * iterations)
         rows = np.zeros(u.size, dtype=np.int64)
         draws = inverse_cdf_rows(dist.probs[None], np.cumsum(dist.probs)[None], rows, u)
-        tokens, prev = draws.reshape(2, iterations, 4)
-        changed, compared = record_hamming(tokens, prev, np.ones((iterations, 4), dtype=bool))
+        tokens, prev = draws.reshape(2, 4 * iterations)
+        changed, compared = record_hamming(
+            tokens, prev, np.ones(4 * iterations, dtype=bool),
+            np.repeat(np.arange(iterations), 4), iterations,
+        )
         assert np.all(compared == 4)
         mean = changed.mean()
         sigma = math.sqrt(4 * (7 / 8) * (1 / 8) / iterations)
