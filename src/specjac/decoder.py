@@ -149,12 +149,11 @@ def decode_trials(
 
 
 def _vanilla_chunk(sampler, n, keys):
-    token_keys, trials = derive_keys(keys, "vanilla"), np.arange(len(keys))
-    out = np.empty((len(keys), n), dtype=np.int64)
+    u = uniforms_at(derive_keys(keys, "vanilla", np.arange(n)[:, None]), 1)
+    out, trials = np.empty((len(keys), n), dtype=np.int64), np.arange(len(keys))
     for i in range(n):
         rows = sampler.rows(sampler.codes(out, trials, i))
-        u = uniforms_at(derive_keys(token_keys, i), 1)
-        out[:, i] = inverse_cdf_rows(sampler.probs, sampler.cdf, rows, u)
+        out[:, i] = inverse_cdf_rows(sampler.probs, sampler.cdf, rows, u[i])
     return out
 
 
@@ -171,9 +170,11 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
     nothing, and finished trials leave ``live``.  A slot still on the uniform
     initializer's row (never a model row) has not been in a window: fresh.
 
-    :func:`_redraft` is the one per-coupler function.  A slot's Gumbel noise
-    is a function of its trial and position, so it is computed where it is
-    used and is not stored with the slot.
+    Each iteration draws every slot's draft uniforms 1, 2 and verify uniform
+    1 in one ``uniforms_at`` call; :func:`_residuals` draws the verify
+    residual's uniform 2.  :func:`_redraft`, the one per-coupler function,
+    takes the draft uniforms.  A slot's Gumbel noise is a function of its
+    trial and position, so it is computed where it is used, not stored.
     """
     count, uniform = len(keys), sampler.UNIFORM_ROW
     live, start = np.arange(count), np.zeros(count, np.int64)
@@ -191,6 +192,7 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
         wj = np.arange(len(wb)) - first[wb]
         tr, ps = live[wb], start[wb] + wj
         dkeys, vkeys = derive_keys(keyring[wb, :2], t, ps[:, None]).T
+        u = uniforms_at(np.stack([dkeys, dkeys, vkeys]), [[1], [2], [1]])
 
         # Drafting.  Fresh slots sample independently from the uniform
         # initializer; surviving slots re-draw through the coupler; redraft
@@ -198,10 +200,10 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
         dr, pr = drow[tr, ps], prow[tr, ps]
         fresh, redo = dr == uniform, pr >= 0
         out[tr[fresh], ps[fresh]] = inverse_cdf_rows(
-            sampler.probs, sampler.cdf, dr[fresh], uniforms_at(dkeys[fresh], 1)
+            sampler.probs, sampler.cdf, dr[fresh], u[0, fresh]
         )
         at = tr[redo], ps[redo]
-        out[at] = _redraft(sampler, coupler, dr[redo], pr[redo], ptok[at], dkeys[redo],
+        out[at] = _redraft(sampler, coupler, dr[redo], pr[redo], ptok[at], u[:2, redo],
                            keyring[wb[redo], 2], ps[redo])
 
         # Evaluate every window in one parallel model call per trial.
@@ -215,7 +217,7 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
 
         # Verify in order until the first rejection; one scalar residual
         # draw per rejecting trial, through ``decoder.mrs`` (see _residuals).
-        reject = ~mrs_accepts(uniforms_at(vkeys, 1), probs[ev, tok], probs[dr, tok])
+        reject = ~mrs_accepts(u[2], probs[ev, tok], probs[dr, tok])
         stop = width.copy()
         np.minimum.at(stop, wb[reject], wj[reject])
         rejected = stop < width
@@ -246,13 +248,14 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
     return out
 
 
-def _redraft(sampler, coupler, rows, prev_rows, prev_tokens, keys, gumbel_keys, positions):
+def _redraft(sampler, coupler, rows, prev_rows, prev_tokens, u, gumbel_keys, positions):
     """New drafts of surviving slots through the coupler, the engine's only
-    per-coupler code.  ``keys`` are the slots' draft streams this iteration;
-    a slot's Gumbel noise is uniforms 1..V of ``derive_keys(gumbel_key, pos)``."""
+    per-coupler code.  Rows 0 and 1 of ``u`` are the slots' draft uniforms 1
+    and 2 this iteration; a slot's Gumbel noise is uniforms 1..V of
+    ``derive_keys(gumbel_key, pos)``."""
     probs = sampler.probs
     if coupler is CouplerKind.INDEPENDENT:
-        return inverse_cdf_rows(probs, sampler.cdf, rows, uniforms_at(keys, 1))
+        return inverse_cdf_rows(probs, sampler.cdf, rows, u[0])
     if coupler is CouplerKind.GUMBEL:
         slot_keys = derive_keys(gumbel_keys, positions)[:, None]
         noise = gumbel_from_uniform(uniforms_at(slot_keys, np.arange(1, probs.shape[1] + 1)))
@@ -260,12 +263,8 @@ def _redraft(sampler, coupler, rows, prev_rows, prev_tokens, keys, gumbel_keys, 
     # maximal: modified rejection sampling of the previous draft; rejected
     # slots draw their residual row-wise on the second uniform, as mrs would
     drafts = prev_tokens.copy()
-    reject = ~mrs_accepts(
-        uniforms_at(keys, 1), probs[rows, prev_tokens], probs[prev_rows, prev_tokens]
-    )
-    drafts[reject] = mrs_residual_rows(
-        probs, rows[reject], prev_rows[reject], uniforms_at(keys[reject], 2)
-    )
+    reject = ~mrs_accepts(u[0], probs[rows, prev_tokens], probs[prev_rows, prev_tokens])
+    drafts[reject] = mrs_residual_rows(probs, rows[reject], prev_rows[reject], u[1, reject])
     return drafts
 
 

@@ -166,17 +166,17 @@ class TargetSampler:
 
     def codes(self, seq: np.ndarray, rows, pos) -> np.ndarray:
         """Context codes of positions ``pos`` of rows ``rows`` (broadcast
-        together) of the token matrix ``seq``: digit t + 1 for the token
-        ``back`` places earlier, for ``back`` = 1..context_order, and digit 0
-        (BOS) before position 0.  Only tokens before ``pos`` count, and ``pos``
-        may equal the width of ``seq``."""
+        together) of the token matrix ``seq``: for the offset vector
+        context_order..1, digit t + 1 for the token that many places earlier,
+        and digit 0 (BOS) before position 0.  Only tokens before ``pos``
+        count, and ``pos`` may equal the width of ``seq``."""
         if not seq.shape[1]:  # no token to read: every digit is BOS
             seq = np.zeros((len(seq), 1), dtype=np.int64)
-        code = np.zeros(np.broadcast(rows, pos).shape, dtype=np.int64)
-        for back in range(len(self._place), 0, -1):  # most significant digit first
-            at = np.subtract(pos, back)
-            code = code * self._base + np.where(at >= 0, seq[rows, np.maximum(at, 0)] + 1, 0)
-        return code
+        rows, pos = np.broadcast_arrays(rows, pos)
+        # digits at the offsets k..1 as (k, positions): inner loops run over positions
+        at = pos.ravel() - np.arange(len(self._place), 0, -1)[:, None]
+        digits = np.where(at >= 0, seq[rows.ravel(), np.maximum(at, 0)] + 1, 0)
+        return (self._place @ digits).reshape(pos.shape)
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """Row of the target law of each context code, built on first use.

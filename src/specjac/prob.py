@@ -172,7 +172,6 @@ def softmax(values: np.ndarray) -> np.ndarray:
     shifted = values - values.max(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
         expd = np.exp(shifted)
-    expd = np.where(values == -np.inf, 0.0, expd)
     return expd / expd.sum(axis=-1, keepdims=True)
 
 

@@ -240,6 +240,25 @@ class TestApplyProcessors:
         hot = apply_processors(logits, 10.0, top_p=0.9)
         assert np.count_nonzero(hot.probs) > np.count_nonzero(cold.probs)
 
+    def test_masked_entries_are_exactly_zero(self):
+        # -inf beside a finite row max: exp(-inf - max) is exactly 0.0, so the
+        # result equals an explicit zeroing of the masked entries, bit for bit
+        rng = np.random.default_rng(11)
+        scales = np.repeat([1.0, 30.0, 700.0, 1e300], 16)[:, None]
+        values = rng.standard_normal((64, 9)) * scales
+        masked = rng.random(values.shape) < 0.4
+        masked[np.arange(64), rng.integers(0, 9, 64)] = False
+        values[masked] = -np.inf
+        out = softmax(values)
+        expd = np.exp(np.where(masked, 0.0, values - values.max(axis=1, keepdims=True)))
+        expd[masked] = 0.0
+        assert out.tobytes() == (expd / expd.sum(axis=1, keepdims=True)).tobytes()
+        assert (out[masked] == 0.0).all()
+        for kwargs in ({"top_k": 4}, {"top_p": 0.6}, {"top_k": 5, "top_p": 0.8}):
+            probs = apply_processors(Logits(values), 1.5, **kwargs).probs
+            assert (probs[masked] == 0.0).all()
+            assert (np.count_nonzero(probs, axis=1) <= kwargs.get("top_k", 9)).all()
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             apply_processors(Logits([0.0, 1.0]), 0.0)
