@@ -1,6 +1,8 @@
 """Configuration plumbing and the four CLI commands."""
 
 import csv
+import glob
+import hashlib
 import os
 import stat
 import subprocess
@@ -9,6 +11,7 @@ import threading
 
 import numpy as np
 import pytest
+import yaml
 
 import specjac
 import specjac.decoder as decoder_mod
@@ -16,6 +19,9 @@ from specjac.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, write_csv, write_re
 from specjac.config import build_config, load_config_file
 from specjac.errors import ConfigError
 from specjac import oracle
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _read_csv(path):
@@ -109,6 +115,15 @@ class TestConfig:
             load_config_file(str(path))
         assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
         assert "broken.yaml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", sorted(
+        glob.glob(os.path.join(ROOT, "configs", "*.yaml"))
+        + glob.glob(os.path.join(ROOT, "benchmarks", "configs", "*.yaml"))
+    ))
+    def test_repo_configs_load_as_safe_loader_reads_them(self, path):
+        with open(path, encoding="utf-8") as handle:
+            expected = yaml.load(handle, Loader=yaml.SafeLoader)
+        assert load_config_file(path) == expected
 
     def test_fingerprint_tracks_semantic_fields_only(self):
         base = build_config()
@@ -424,3 +439,23 @@ def test_cli_import_leaves_scipy_stats_out():
     proc = _child("-c", "import sys, specjac.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# sha256 of ``specjac [command] --help`` at COLUMNS=80
+HELP_DIGESTS = {
+    None: "36df894f1314d70f35507073fb6e05c4dfc4bba6040a3a9dbd135d7ffeb1b04f",
+    "generate": "9780c969eec0f2e22ef608974121cbdb56ad4f9c200cbd7838258f9a5b1ca111",
+    "verify-lossless": "07614cb125af8d4f65aa54198e869c00f90f83023217684c3f49ddd89cdf8012",
+    "coupling-stats": "702080f234391ca167d57ab59778efce2c0bbc57dd9ea2f8c2241b81d06f4a5f",
+    "sweep": "80ba007c8899c44a075a77853c8b903a6fa2fc4724153b8dcf23370b9b1b5d74",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[command], text

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import specjac.decoder as decoder_mod
 from specjac.cli import _aggregate
-from specjac.couplers import inverse_cdf_rows
+from specjac.couplers import inverse_cdf_rows, mrs
 from specjac.decoder import (
     CouplerKind,
     DecodeStats,
@@ -281,6 +281,38 @@ class TestEngineDigest:
                     digest.update(f"{array.dtype.str}{array.shape}".encode())
                     digest.update(np.ascontiguousarray(array).tobytes())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestVerifySeamDigest:
+    """Every ``decoder.mrs`` call of the verify step, in call order: the
+    bytes of both laws, the draft token, the stream key and the returned
+    token.  Mutation checks patch this seam, so a refactor around it must
+    leave the calls, their arguments and their order unchanged."""
+
+    # (spec, n, window, trials): desk and flat models, TRIAL_CHUNK patched to 4
+    GRID = [(SPEC, 5, 4, 9), (FLAT_SPEC, 24, 8, 6)]
+    VARIANTS = [(c, r) for c in CouplerKind for r in (False, True)]
+    CALLS, DIGEST = 181, "8867afc43a2a326e7bc8f2ac377d55bbd58484d1b89b6029a2c3a90fa1bbd6cd"
+
+    def test_digest(self, monkeypatch):
+        monkeypatch.setattr(decoder_mod, "TRIAL_CHUNK", 4)
+        digest, calls = hashlib.sha256(), [0]
+
+        def recorder(p, q, x, rng):
+            key = rng.key
+            out = mrs(p, q, x, rng)
+            for part in (p.probs.tobytes(), q.probs.tobytes(), f"{x},{key},{out.token};"):
+                digest.update(part if isinstance(part, bytes) else part.encode())
+            calls[0] += 1
+            return out
+
+        monkeypatch.setattr(decoder_mod, "mrs", recorder)
+        for spec, n, window, trials in self.GRID:
+            sampler = TargetSampler(TabularModel(spec), SamplingParams())
+            keys = trial_keys(RandomSource(n + window), trials)
+            for coupler, redraft in self.VARIANTS:
+                decode_trials(sampler, n, keys, coupler, window, redraft, stats=False)
+        assert (calls[0], digest.hexdigest()) == (self.CALLS, self.DIGEST)
 
 
 def _assert_list_means(stats, n):
