@@ -50,7 +50,9 @@ SWEEP_AXES = {
 }
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+def _common_parser() -> argparse.ArgumentParser:
+    """The options every subcommand takes, as a parent parser (no help)."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", metavar="PATH", help="YAML experiment config")
     parser.add_argument("--seed", type=int, help="override run.seed")
     parser.add_argument("--out", metavar="PATH", help="override output.path")
@@ -58,6 +60,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                         "(read by verify-lossless; the other commands write csv)")
     for path in FIELDS:
         parser.add_argument(f"--{path}", dest=path, metavar="VALUE", help=argparse.SUPPRESS)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,20 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Speculative Jacobi decoding experiments on enumerable toy models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_parser()]
 
-    gen = sub.add_parser("generate", help="run configured decodes, emit per-trial rows")
-    _add_common_arguments(gen)
-
-    ver = sub.add_parser(
-        "verify-lossless",
+    sub.add_parser(
+        "generate", parents=common, help="run configured decodes, emit per-trial rows"
+    )
+    sub.add_parser(
+        "verify-lossless", parents=common,
         help="compare vanilla and all couplers to the exact sequence law",
     )
-    _add_common_arguments(ver)
 
     stats = sub.add_parser(
-        "coupling-stats", help="per-pair collision probabilities and bounds"
+        "coupling-stats", parents=common, help="per-pair collision probabilities and bounds"
     )
-    _add_common_arguments(stats)
     stats.add_argument("--pairs", type=int, default=50, help="number of random pairs")
     stats.add_argument("--vocab", type=int, default=16, help="pair vocabulary size")
     stats.add_argument(
@@ -94,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="logit sharpness range controlling the entropy regime",
     )
 
-    sweep = sub.add_parser("sweep", help="sweep one axis with paired seeds")
-    _add_common_arguments(sweep)
+    sweep = sub.add_parser("sweep", parents=common, help="sweep one axis with paired seeds")
     sweep.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
     sweep.add_argument(
         "--values", required=True, nargs="+", help="axis values (space or comma separated)"

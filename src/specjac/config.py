@@ -134,10 +134,11 @@ def convert(path: str, value):
 
 
 def load_config_file(path: str) -> dict[str, dict[str, Any]]:
-    """Parse a YAML config file into the nested-section dictionary."""
+    """Parse a YAML config file into the nested-section dictionary, with
+    PyYAML's libyaml safe loader when PyYAML was built with it."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if data is None:

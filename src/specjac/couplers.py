@@ -106,17 +106,23 @@ def mrs(p: Categorical, q: Categorical, x: int, rng: RandomSource) -> MrsOutcome
     return MrsOutcome(False, inverse_cdf_sample(residual, rng.draw_uniform01()))
 
 
-def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
-    """Transform uniforms in [0, 1) to Gumbel(0, 1) via -log(-log(u)).
+def negated_gumbel(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Negated Gumbel(0, 1) variates log(-log(u)) of uniforms in [0, 1).
 
     Inputs are clamped into [tiny, 1 - 2^-53] so the double logarithm is
-    always finite.  The logarithms work in place on the clamped copy, so
-    ``u`` is left as it was.
+    always finite.  The clamped values go to ``out`` (a new array if None)
+    and the logarithms work there in place, so ``u`` is left as it was.
     """
-    g = np.clip(u, np.finfo(np.float64).tiny, 1.0 - 2.0**-53)
-    np.log(g, out=g)
-    np.negative(g, out=g)
-    np.log(g, out=g)
+    h = np.clip(u, np.finfo(np.float64).tiny, 1.0 - 2.0**-53, out=out)
+    np.log(h, out=h)
+    np.negative(h, out=h)
+    return np.log(h, out=h)
+
+
+def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
+    """Transform uniforms in [0, 1) to Gumbel(0, 1) via -log(-log(u)): the
+    negation of :func:`negated_gumbel`, in a new array."""
+    g = negated_gumbel(u)
     return np.negative(g, out=g)
 
 

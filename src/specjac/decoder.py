@@ -271,14 +271,18 @@ def _redraft(sampler, coupler, rows, prev_rows, prev_tokens, u, gumbel_keys, pos
 def _residuals(sampler, p_rows, q_rows, tokens, keys) -> np.ndarray:
     """Outputs of rejecting verify steps, one scalar :func:`mrs` call each on
     the slot's own stream (its first draw repeats the vectorised accept test).
+    Each distinct row is wrapped as a :class:`Categorical` once per call and
+    shared by every slot that reads it.
 
     Verify-only: redraft residuals go through :func:`mrs_residual_rows`.
     The scalar call stays because mutation checks of the losslessness gate
     (acceptance criterion 11, the benchmark's self-test) patch
     ``decoder.mrs`` with a scalar signature."""
+    p_rows, q_rows = p_rows.tolist(), q_rows.tolist()
+    law = {row: sampler.categorical(row) for row in {*p_rows, *q_rows}}
     return np.array([
-        mrs(sampler.categorical(p), sampler.categorical(q), x, RandomSource.from_key(k)).token
-        for p, q, x, k in zip(p_rows.tolist(), q_rows.tolist(), tokens.tolist(), keys.tolist())
+        mrs(law[p], law[q], x, RandomSource.from_key(k)).token
+        for p, q, x, k in zip(p_rows, q_rows, tokens.tolist(), keys.tolist())
     ], dtype=np.int64)
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import chdtrc
 
-from .couplers import gumbel_argmax, gumbel_from_uniform, inverse_cdf_sample
+from .couplers import inverse_cdf_sample, negated_gumbel
 from .decoder import CouplerKind, decode_trials, trial_keys
 from .model import (
     SamplingParams,
@@ -153,9 +153,9 @@ def gof_test(
 # ---------------------------------------------------------------------------
 
 # Gumbel noise entries drawn and reduced at a time (128 KB of float64): a
-# block's uniforms, noise and scores stay in cache.  256 KB blocks were as
-# fast only while the C allocator reused their arrays; in a process that has
-# not loaded scipy.stats it pages them in afresh for every block.
+# block's counters, uniforms, noise and scores stay in cache, in buffers made
+# once per estimate, so its speed does not depend on whether the C allocator
+# reuses freed arrays or pages in new ones.
 NOISE_BLOCK = 2**14
 
 
@@ -183,12 +183,19 @@ def estimate_gumbel_collision(
         raise ValueError("trials must be >= 1")
     vocab = p.vocab_size
     per_block = max(1, NOISE_BLOCK // vocab)
+    with np.errstate(divide="ignore"):  # zero-probability tokens score -inf
+        log_p, log_q = np.log(p.probs), np.log(q.probs)
+    # score log p - h with h = -noise: equal to log p + noise in IEEE arithmetic
+    h, score = np.empty((2, per_block, vocab))
+    x, y = np.empty((2, per_block), np.int64)
+    same = np.empty(per_block, bool)
     hits = 0
-    for start in range(0, trials, per_block):
-        m = min(per_block, trials - start)
-        noise = gumbel_from_uniform(rng.uniforms(m * vocab)).reshape(m, vocab)
-        x, y = gumbel_argmax(p.probs, noise), gumbel_argmax(q.probs, noise)
-        hits += int(np.count_nonzero(x == y))
+    for u in rng.uniform_blocks(trials * vocab, per_block * vocab):
+        m = len(u) // vocab
+        hb, sb = negated_gumbel(u.reshape(m, vocab), h[:m]), score[:m]
+        np.argmax(np.subtract(log_p, hb, out=sb), axis=1, out=x[:m])
+        np.argmax(np.subtract(log_q, hb, out=sb), axis=1, out=y[:m])
+        hits += int(np.count_nonzero(np.equal(x[:m], y[:m], out=same[:m])))
     return hits / trials
 
 

@@ -13,6 +13,7 @@ of the decoders rest on.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterator
 
 import numpy as np
 from scipy.special import ndtri
@@ -109,6 +110,19 @@ class RandomSource:
         self._count += n
         return uniforms_at(self._key, steps)
 
+    def uniform_blocks(self, n: int, size: int) -> Iterator[np.ndarray]:
+        """The draws of ``uniforms(n)`` in consecutive blocks of ``size``
+        (the last may be shorter), each written over the previous one in a
+        buffer made once: a block is valid until the next is drawn.  The
+        counter advances by each block as it is drawn."""
+        steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z, scratch, u = np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)
+        for done in range(0, n, size):
+            m = min(size, n - done)
+            offset = np.uint64((self._key + self._count * _GOLDEN) & _MASK)
+            self._count += m
+            yield _draws(np.add(steps[:m], offset, out=z[:m]), scratch[:m], u[:m])
+
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals: :func:`normals_of` ``n`` uniforms."""
         return normals_of(self.uniforms(n))
@@ -128,10 +142,11 @@ def normals_of(u: np.ndarray) -> np.ndarray:
 # silently (numpy scalars would warn), as SplitMix64 requires.
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
+def _mix_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """:func:`_mix` of every entry, in place: ``z`` must be a fresh array
-    the caller owns.  Returns ``z``."""
-    t = z >> np.uint64(30)  # the one scratch buffer
+    the caller owns.  ``scratch``, if given, is a buffer of ``z``'s shape
+    used in place of a new one.  Returns ``z``."""
+    t = np.right_shift(z, np.uint64(30), out=scratch)  # the one scratch buffer
     z ^= t
     z *= np.uint64(_MIX1)
     np.right_shift(z, np.uint64(27), out=t)
@@ -166,8 +181,19 @@ def uniforms_at(keys, counters) -> np.ndarray:
     ``RandomSource.from_key(k)``; ``keys`` and ``counters`` broadcast.
     """
     k = np.array(keys, dtype=np.uint64, ndmin=1)
-    z = _mix_array(k + np.asarray(counters, dtype=np.uint64) * np.uint64(_GOLDEN))
+    return _draws(k + np.asarray(counters, dtype=np.uint64) * np.uint64(_GOLDEN))
+
+
+def _draws(z: np.ndarray, scratch: np.ndarray | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Uniforms in [0, 1) of the states ``z`` (key + counter * golden), a
+    fresh array mixed in place; ``scratch`` goes to :func:`_mix_array`, and
+    the uniforms to ``out`` (a new array if None)."""
+    z = _mix_array(z, scratch)
     z >>= np.uint64(11)
-    u = z.astype(np.float64)
-    u *= _INV53
-    return u
+    if out is None:
+        out = z.astype(np.float64)
+    else:
+        np.copyto(out, z)
+    out *= _INV53
+    return out

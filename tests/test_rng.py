@@ -42,6 +42,20 @@ def test_uniforms_continue_counter():
     assert np.array_equal(first, second)
 
 
+@pytest.mark.parametrize("n, size", [(1, 4), (12, 4), (13, 4), (3, 8)])
+def test_uniform_blocks_are_the_uniforms_in_one_buffer(n, size):
+    blocked, one_shot = RandomSource(7), RandomSource(7)
+    blocked.draw_uniform01(), one_shot.draw_uniform01()
+    blocks, buffers = [], set()
+    for block in blocked.uniform_blocks(n, size):
+        blocks.append(block.copy())
+        buffers.add(block.__array_interface__["data"][0])
+    assert [len(b) for b in blocks] == [size] * (n // size) + [n % size] * (n % size > 0)
+    assert np.concatenate(blocks).tolist() == one_shot.uniforms(n).tolist()
+    assert len(buffers) == 1  # every block is written over the first
+    assert blocked.draw_uniform01() == one_shot.draw_uniform01()
+
+
 def test_range_is_half_open_unit_interval():
     u = RandomSource(3).uniforms(100000)
     assert np.all(u >= 0.0)
