@@ -149,13 +149,14 @@ def gof_test(
 
 # ---------------------------------------------------------------------------
 # Coupler-level Monte Carlo estimators: the couplers' own inverse CDF,
-# Gumbel argmax and accept test, applied to whole arrays of draws.
+# Gumbel noise and accept test, applied to whole arrays of draws.
 # ---------------------------------------------------------------------------
 
 # Gumbel noise entries drawn and reduced at a time (128 KB of float64): a
-# block's counters, uniforms, noise and scores stay in cache, in buffers made
-# once per estimate, so its speed does not depend on whether the C allocator
-# reuses freed arrays or pages in new ones.
+# block's counters, uniforms (overwritten by the noise) and scores stay in
+# cache.  Their buffers are made once per estimate, not once per block, so
+# the estimate's speed does not hang on whether the C allocator reuses freed
+# block-sized arrays or pages in new ones.
 NOISE_BLOCK = 2**14
 
 
@@ -185,17 +186,16 @@ def estimate_gumbel_collision(
     per_block = max(1, NOISE_BLOCK // vocab)
     with np.errstate(divide="ignore"):  # zero-probability tokens score -inf
         log_p, log_q = np.log(p.probs), np.log(q.probs)
-    # score log p - h with h = -noise: equal to log p + noise in IEEE arithmetic
-    h, score = np.empty((2, per_block, vocab))
-    x, y = np.empty((2, per_block), np.int64)
-    same = np.empty(per_block, bool)
+    # score log p - h with h = -noise, in IEEE arithmetic equal to log p + noise;
+    # h overwrites the block's uniforms
+    score = np.empty((per_block, vocab))
     hits = 0
     for u in rng.uniform_blocks(trials * vocab, per_block * vocab):
         m = len(u) // vocab
-        hb, sb = negated_gumbel(u.reshape(m, vocab), h[:m]), score[:m]
-        np.argmax(np.subtract(log_p, hb, out=sb), axis=1, out=x[:m])
-        np.argmax(np.subtract(log_q, hb, out=sb), axis=1, out=y[:m])
-        hits += int(np.count_nonzero(np.equal(x[:m], y[:m], out=same[:m])))
+        h, s = negated_gumbel(u, u).reshape(m, vocab), score[:m]
+        x = np.argmax(np.subtract(log_p, h, out=s), axis=1)
+        y = np.argmax(np.subtract(log_q, h, out=s), axis=1)
+        hits += int(np.count_nonzero(x == y))
     return hits / trials
 
 

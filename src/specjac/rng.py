@@ -113,8 +113,9 @@ class RandomSource:
     def uniform_blocks(self, n: int, size: int) -> Iterator[np.ndarray]:
         """The draws of ``uniforms(n)`` in consecutive blocks of ``size``
         (the last may be shorter), each written over the previous one in a
-        buffer made once: a block is valid until the next is drawn.  The
-        counter advances by each block as it is drawn."""
+        buffer made once: a block is valid until the next is drawn, and the
+        caller may overwrite it.  The counter advances by each block as it
+        is drawn."""
         steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         z, scratch, u = np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)
         for done in range(0, n, size):
