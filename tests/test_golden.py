@@ -11,8 +11,10 @@ nucleus (top-p) law at temperature 0.7 under guidance (also under the
 redraft convention, so maximal redraft residuals meet masked rows), an
 order-0 model (one context, the same law at every position), an order-1
 model (a context is the last token alone), an order longer than the
-sequence (every context still holds BOS) and a window wider than the
-sequence under the redraft convention (BOS digits inside the window).
+sequence (every context still holds BOS), a window wider than the
+sequence under the redraft convention (BOS digits inside the window), the
+``report`` format of the first verify-lossless argv, and a coupler sweep on
+a V=16 model (each row's fingerprint and coupler columns vary).
 A refactor that keeps behaviour keeps every draw, stream key, float format
 and CSV column, so these bytes must not move.  Regenerate a golden file
 only with a change that states and justifies its new stream layout.
@@ -88,6 +90,15 @@ COMMANDS = {
         "verify-lossless", *DESK, "--sampling.top_k", "3", "--run.trials", "2000",
     ],
     "verify-lossless-desk-pooled.csv": ["verify-lossless", *DESK, "--run.trials", "300"],
+    "verify-lossless.report": [
+        "verify-lossless", "--model.vocab_size", "3", "--decode.length", "3",
+        "--decode.window", "2", "--run.trials", "3000", "--format", "report",
+    ],
+    "sweep-coupler-v16.csv": [
+        "sweep", "--model.vocab_size", "16", "--model.flatness", "2.0", "--decode.length", "12",
+        "--decode.window", "4", "--axis", "coupler",
+        "--values", "vanilla,independent,maximal,gumbel", "--run.trials", "10",
+    ],
     "generate-wide-window-redraft.csv": [
         "generate", "--model.vocab_size", "5", "--model.context_order", "3",
         "--decode.length", "6", "--decode.window", "8", "--decode.coupler", "gumbel",
