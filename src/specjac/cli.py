@@ -35,7 +35,7 @@ from .decoder import CouplerKind, DecodeStats, decode_trials, trial_keys
 from .errors import BudgetError, ConfigError
 from .model import TabularModel, TargetSampler
 from .oracle import TestReport, generate_pairs, pair_coupling, run_lossless_suite
-from .rng import RandomSource
+from .rng import NORMAL_BOUND, RandomSource
 
 EXIT_OK = 0
 EXIT_TEST_FAILURE = 1
@@ -177,29 +177,26 @@ def write_reports(
     fingerprint: str,
     fmt: str,
 ) -> None:
+    """Write one row per report, with the run's master seed and fingerprint:
+    under one CSV header, or (``fmt`` ``report``) as one ``key=value`` line
+    per column, ``name`` written as ``report``, and a blank line after each
+    report."""
+    header = (
+        "name", "value", "threshold", "passed", "samples", "notes",
+        "master_seed", "fingerprint",
+    )
+    rows = [
+        (r.name, r.value, r.threshold, r.passed, r.samples, r.notes,
+         master_seed, fingerprint)
+        for r in reports
+    ]
     if fmt == "csv":
-        header = (
-            "name", "value", "threshold", "passed", "samples", "notes",
-            "master_seed", "fingerprint",
-        )
-        rows = [
-            (r.name, r.value, r.threshold, r.passed, r.samples, r.notes,
-             master_seed, fingerprint)
-            for r in reports
-        ]
         write_csv(path, header, rows)
         return
 
     def emit(handle) -> None:
-        for report in reports:
-            handle.write(f"report={report.name}\n")
-            handle.write(f"value={_fmt(report.value)}\n")
-            handle.write(f"threshold={_fmt(report.threshold)}\n")
-            handle.write(f"passed={_fmt(report.passed)}\n")
-            handle.write(f"samples={report.samples}\n")
-            handle.write(f"notes={report.notes}\n")
-            handle.write(f"master_seed={master_seed}\n")
-            handle.write(f"fingerprint={fingerprint}\n")
+        for row in rows:
+            handle.writelines(f"{key}={_fmt(v)}\n" for key, v in zip(("report", *header[1:]), row))
             handle.write("\n")
 
     _write(path, emit)
@@ -210,11 +207,11 @@ def write_reports(
 # ---------------------------------------------------------------------------
 
 
-def _decode_all(
-    config: ExperimentConfig, sampler: TargetSampler, master: RandomSource
-) -> tuple[np.ndarray, DecodeStats]:
-    """Decode every trial of ``config`` in one engine call."""
+def _decode_all(config: ExperimentConfig, master: RandomSource) -> tuple[np.ndarray, DecodeStats]:
+    """Decode every trial of ``config`` in one engine call, on the target law
+    of its model and sampling sections, from the trial keys of ``master``."""
     decode = config.decode
+    sampler = TargetSampler(TabularModel(config.model), config.sampling)
     coupler = None if decode.coupler == "vanilla" else CouplerKind(decode.coupler)
     return decode_trials(
         sampler,
@@ -223,6 +220,15 @@ def _decode_all(
         coupler,
         decode.window,
         decode.redraft,
+    )
+
+
+def _run_columns(config: ExperimentConfig) -> tuple:
+    """The run columns of every generate and sweep row: fingerprint, master
+    seed, coupler, window, cfg scale and flatness."""
+    return (
+        config.fingerprint(), config.run.seed, config.decode.coupler,
+        config.decode.window, config.sampling.cfg_scale, config.model.flatness,
     )
 
 
@@ -257,22 +263,17 @@ GENERATE_HEADER = (
 
 
 def cmd_generate(config: ExperimentConfig) -> int:
-    model = TabularModel(config.model)
-    sampler = TargetSampler(model, config.sampling)
-    master = RandomSource(config.run.seed)
-    fingerprint = config.fingerprint()
+    run = _run_columns(config)
     started = time.perf_counter()
 
     rows = []
-    sequences, stats = _decode_all(config, sampler, master)
+    sequences, stats = _decode_all(config, RandomSource(config.run.seed))
     finalized, ends = stats.finalized.tolist(), np.cumsum(stats.nfe).tolist()
     hammings, betas = stats.mean_hamming(), stats.mean_beta()
     trials = zip(sequences.tolist(), stats.nfe.tolist(), ends, hammings, betas)
     for k, (sequence, nfe, end, hamming, beta) in enumerate(trials):
         rows.append((
-            f"trial-{k:06d}", fingerprint, config.run.seed, config.decode.coupler,
-            config.decode.window, config.sampling.cfg_scale, config.model.flatness,
-            1, nfe, None, nfe,
+            f"trial-{k:06d}", *run, 1, nfe, None, nfe,
             "|".join(str(c) for c in finalized[end - nfe : end]),
             hamming, beta,
             " ".join(str(t) for t in sequence),
@@ -280,9 +281,7 @@ def cmd_generate(config: ExperimentConfig) -> int:
 
     agg = _aggregate(stats, config.decode.length, hammings, betas)
     rows.append((
-        "aggregate", fingerprint, config.run.seed, config.decode.coupler,
-        config.decode.window, config.sampling.cfg_scale, config.model.flatness,
-        config.run.trials, agg["nfe"], agg["nfe_std"], agg["iterations"],
+        "aggregate", *run, config.run.trials, agg["nfe"], agg["nfe_std"], agg["iterations"],
         agg["accepted"], agg["hamming"], agg["beta"], None,
     ))
     write_csv(config.output.path, GENERATE_HEADER, rows)
@@ -334,8 +333,11 @@ def cmd_coupling_stats(config: ExperimentConfig, args: argparse.Namespace) -> in
                                ("--trials", args.trials, 1)):
         if value < floor:
             raise ConfigError(f"{flag}: must be >= {floor}")
-    if not np.isfinite(args.sharpness_range).all():
-        raise ConfigError("--sharpness-range: LO and HI must be finite")
+    # the logit spread softmax subtracts; 1.55 bounds generate_pairs' closeness
+    spread = 2.0 * (float(np.abs(args.sharpness_range).max()) + 1.55) * NORMAL_BOUND
+    if not np.isfinite(spread):
+        raise ConfigError("--sharpness-range: the logit spread 2 * (max(|LO|, |HI|) + 1.55) * "
+                          f"{NORMAL_BOUND:.2f} is not finite")
     seed = config.run.seed
     master = RandomSource(seed)
     pairs = generate_pairs(
@@ -377,15 +379,11 @@ def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
     rows = []
     for value in values:
         varied = config.replace_field(path, value)
-        model = TabularModel(varied.model)
-        sampler = TargetSampler(model, varied.sampling)
         # the k-th trial shares its master key across every sweep value
-        stats = _decode_all(varied, sampler, master)[1]
+        stats = _decode_all(varied, master)[1]
         agg = _aggregate(stats, varied.decode.length, stats.mean_hamming(), stats.mean_beta())
         rows.append((
-            args.axis, value, varied.fingerprint(), varied.run.seed,
-            varied.decode.coupler, varied.decode.window,
-            varied.sampling.cfg_scale, varied.model.flatness, varied.run.trials,
+            args.axis, value, *_run_columns(varied), varied.run.trials,
             agg["nfe"], agg["nfe_std"], agg["accepted"], agg["hamming"], agg["beta"],
         ))
     write_csv(config.output.path, SWEEP_HEADER, rows)

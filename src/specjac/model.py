@@ -129,7 +129,8 @@ class TargetSampler:
     ``codes`` reads the codes of many positions of a token matrix at once.
     ``rows`` maps codes to rows of ``probs`` / ``cdf`` through one
     sorted-code lookup; rows are built on first use, all missing rows of a
-    call in one bulk build.
+    call in one bulk build.  A lookup may replace ``probs`` and ``cdf`` with
+    larger tables, so read them after ``rows``.
     Row ``UNIFORM_ROW`` is the uniform law (the Jacobi draft initializer).
     One table serves every trial of a model and sampling configuration.
     """
@@ -265,7 +266,8 @@ def enumerate_sequence_distribution(
     sampler = TargetSampler(model, sampling)
     seqs, mass = np.empty((1, 0), dtype=np.int64), np.ones(1)
     for i in range(length):
-        probs = sampler.probs[sampler.rows(sampler.codes(seqs, np.arange(len(seqs)), i))]
+        rows = sampler.rows(sampler.codes(seqs, np.arange(len(seqs)), i))
+        probs = sampler.probs[rows]  # after rows(), which may swap in a larger table
         prefix, token = np.nonzero(probs > 0.0)
         seqs = np.column_stack([seqs[prefix], token])
         mass = mass[prefix] * probs[prefix, token]

@@ -303,6 +303,16 @@ class TestVerifyLossless:
         assert "master_seed=1234" in text
         assert "fingerprint=" in text
 
+    @pytest.mark.parametrize("argv", [
+        ["--model.vocab_size", "16", "--decode.length", "3"],
+        ["--model.vocab_size", "8", "--model.context_order", "3", "--decode.length", "4"],
+    ])
+    def test_law_outgrowing_the_first_row_table(self, argv, tmp_path):
+        # the contexts new at the last position do not fit the sampler's first 256-row table
+        out = tmp_path / "reports.csv"
+        assert main(["verify-lossless", *argv, "--run.trials", "2000", "--out", str(out)]) == EXIT_OK
+        assert all(row["passed"] == "true" for row in _read_csv(out))
+
     def test_budget_exceeded_is_config_error(self, capsys):
         code = main([
             "verify-lossless", "--model.vocab_size", "16", "--decode.length", "8",
@@ -350,6 +360,8 @@ class TestCouplingStats:
     @pytest.mark.parametrize("flag, value", [
         ("--vocab", "1"), ("--vocab", "0"), ("--pairs", "0"), ("--pairs", "-3"), ("--trials", "0"),
         ("--sharpness-range", "nan 1"), ("--sharpness-range", "1 inf"),
+        # finite, but the logit spread softmax subtracts overflows
+        ("--sharpness-range", "1.7e308 1.7e308"), ("--sharpness-range", "1e308 1e308"),
     ])
     def test_out_of_range_flags_exit_2(self, flag, value, tmp_path, capsys):
         out = tmp_path / "pairs.csv"
@@ -357,6 +369,16 @@ class TestCouplingStats:
         assert main(argv) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_large_finite_sharpness_runs(self, tmp_path):
+        out = tmp_path / "pairs.csv"
+        code = main([
+            "coupling-stats", "--pairs", "4", "--vocab", "4", "--trials", "1000",
+            "--sharpness-range", "1e300", "1e300", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        for row in _read_csv(out):
+            assert all(np.isfinite(float(v)) for v in row.values())
 
     def test_identical_pairs_degenerate_columns(self, tmp_path):
         # sharpness 0 makes the even (independent) pairs identical uniforms

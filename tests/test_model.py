@@ -448,6 +448,8 @@ class TestEnumerate:
         (ModelSpec(vocab_size=5, context_order=0, seed=2), SamplingParams(), 3),
         (SPEC, SamplingParams(top_k=2), 4),
         (ModelSpec(vocab_size=5, seed=8), SamplingParams(top_p=0.7, cfg_scale=1.5), 3),
+        # 16 + 256 new contexts at positions 1-2 outgrow the sampler's first row table
+        (ModelSpec(vocab_size=16, seed=3), SamplingParams(), 3),
     ])
     def test_listing_order_and_masses(self, spec, sampling, length):
         # the TV and chi-square reports sum the law in its listing order, so
