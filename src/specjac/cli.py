@@ -19,7 +19,7 @@ import csv
 import os
 import sys
 import time
-from typing import Any, Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -54,10 +54,12 @@ def _common_parser() -> argparse.ArgumentParser:
     """The options every subcommand takes, as a parent parser (no help)."""
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", metavar="PATH", help="YAML experiment config")
-    parser.add_argument("--seed", type=int, help="override run.seed")
-    parser.add_argument("--out", metavar="PATH", help="override output.path")
-    parser.add_argument("--format", choices=FORMAT_CHOICES, help="override output.format "
-                        "(read by verify-lossless; the other commands write csv)")
+    # aliases of dotted paths share their destination: the later one given wins
+    parser.add_argument("--seed", dest="run.seed", metavar="SEED", type=int,
+                        help="override run.seed")
+    parser.add_argument("--out", dest="output.path", metavar="PATH", help="override output.path")
+    parser.add_argument("--format", dest="output.format", choices=FORMAT_CHOICES, help="override "
+                        "output.format (read by verify-lossless; the other commands write csv)")
     for path in FIELDS:
         parser.add_argument(f"--{path}", dest=path, metavar="VALUE", help=argparse.SUPPRESS)
     return parser
@@ -106,19 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     data = load_config_file(args.config) if args.config else None
-    overrides: dict[str, Any] = {}
-    arg_map = vars(args)
-    for path in FIELDS:
-        value = arg_map.get(path)
-        if value is not None:
-            overrides[path] = value
-    if args.seed is not None:
-        overrides["run.seed"] = args.seed
-    if args.out is not None:
-        overrides["output.path"] = args.out
-    if args.format is not None:
-        overrides["output.format"] = args.format
-    return build_config(data, overrides)
+    given = vars(args)
+    return build_config(data, {path: given[path] for path in FIELDS if given[path] is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +286,9 @@ def cmd_generate(config: ExperimentConfig) -> int:
 
 
 def cmd_verify_lossless(config: ExperimentConfig) -> int:
-    model = TabularModel(config.model)
     started = time.perf_counter()
     reports = run_lossless_suite(
-        model,
-        config.sampling,
+        TargetSampler(TabularModel(config.model), config.sampling),
         config.decode.length,
         config.decode.window,
         config.run.trials,

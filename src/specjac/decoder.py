@@ -291,15 +291,15 @@ def decode_vanilla(
     sampling: SamplingParams,
     n: int,
     rng: RandomSource,
-    sampler: TargetSampler | None = None,
 ) -> tuple[TokenSequence, DecodeStats]:
     """Sequential decoding: one model evaluation per emitted token.
 
     Token i is the inverse-CDF draw of the first uniform of
     ``rng.derive("vanilla", i)``.  A one-trial call of
-    :func:`decode_trials`.
+    :func:`decode_trials` on a row table of its own; to share one table
+    across calls, call :func:`decode_trials`.
     """
-    sampler = sampler or TargetSampler(model, sampling)
+    sampler = TargetSampler(model, sampling)
     tokens, stats = decode_trials(sampler, n, np.array([rng.key], dtype=np.uint64))
     return tuple(tokens[0].tolist()), stats
 
@@ -312,7 +312,6 @@ def decode_sjd(
     coupler: CouplerKind,
     rng: RandomSource,
     redraft: bool = False,
-    sampler: TargetSampler | None = None,
 ) -> tuple[TokenSequence, DecodeStats]:
     """Speculative Jacobi decoding with the chosen draft coupler.
 
@@ -324,9 +323,9 @@ def decode_sjd(
     distributed exactly as ``decode_vanilla``; the default finalizes at least
     one token per iteration so nfe <= n, while redraft admits zero-progress
     iterations and guarantees only nfe <= 2n.  A one-trial call of
-    :func:`decode_trials`.
+    :func:`decode_trials` on a row table of its own; to share one table
+    across calls, call :func:`decode_trials`.
     """
-    sampler = sampler or TargetSampler(model, sampling)
-    keys = np.array([rng.key], dtype=np.uint64)
+    sampler, keys = TargetSampler(model, sampling), np.array([rng.key], dtype=np.uint64)
     tokens, stats = decode_trials(sampler, n, keys, coupler, window, redraft)
     return tuple(tokens[0].tolist()), stats

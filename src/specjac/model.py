@@ -242,28 +242,26 @@ def sequence_codes(seqs: np.ndarray, vocab: int) -> np.ndarray:
     return np.where(((seqs < 0) | (seqs >= vocab)).any(axis=1), -1, codes)
 
 
-def enumerate_sequence_distribution(
-    model: TabularModel,
-    sampling: SamplingParams,
-    length: int,
-) -> np.ndarray:
-    """Exact probability of every length-n sequence under sequential sampling,
-    as a vector indexed by :func:`sequence_codes` (0.0 off the support).
+def enumerate_sequence_distribution(sampler: TargetSampler, length: int) -> np.ndarray:
+    """Exact probability of every length-n sequence under sequential sampling
+    from ``sampler``'s target law, as a vector indexed by
+    :func:`sequence_codes` (0.0 off the support).
 
     The law is built one position at a time over all prefixes with positive
-    mass, each mass the left-to-right product of its conditionals.  Raises
-    :class:`BudgetError` when ``vocab_size ** length`` exceeds ``ENUMERATION_BUDGET``.
+    mass, each mass the left-to-right product of its conditionals, read from
+    (and added to) the caller's row table.  Raises :class:`BudgetError` when
+    ``vocab_size ** length`` exceeds ``ENUMERATION_BUDGET``.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    total = model.vocab_size**length
+    vocab = sampler.model.vocab_size
+    total = vocab**length
     if total > ENUMERATION_BUDGET:
         raise BudgetError(
-            f"{model.vocab_size}^{length} = {total} sequences exceed the "
+            f"{vocab}^{length} = {total} sequences exceed the "
             f"enumeration budget of {ENUMERATION_BUDGET}; reduce the "
             "vocabulary size or the length"
         )
-    sampler = TargetSampler(model, sampling)
     seqs, mass = np.empty((1, 0), dtype=np.int64), np.ones(1)
     for i in range(length):
         rows = sampler.rows(sampler.codes(seqs, np.arange(len(seqs)), i))
@@ -271,4 +269,4 @@ def enumerate_sequence_distribution(
         prefix, token = np.nonzero(probs > 0.0)
         seqs = np.column_stack([seqs[prefix], token])
         mass = mass[prefix] * probs[prefix, token]
-    return np.bincount(sequence_codes(seqs, model.vocab_size), weights=mass, minlength=total)
+    return np.bincount(sequence_codes(seqs, vocab), weights=mass, minlength=total)

@@ -19,13 +19,7 @@ from scipy.special import chdtrc
 
 from .couplers import inverse_cdf_sample, negated_gumbel
 from .decoder import CouplerKind, decode_trials, trial_keys
-from .model import (
-    SamplingParams,
-    TabularModel,
-    TargetSampler,
-    enumerate_sequence_distribution,
-    sequence_codes,
-)
+from .model import TargetSampler, enumerate_sequence_distribution, sequence_codes
 from .prob import Categorical, independent_collision, renyi2_entropy, softmax, tv_distance
 from .rng import RandomSource
 
@@ -260,8 +254,7 @@ TV_MARGIN = 1.2
 
 
 def run_lossless_suite(
-    model: TabularModel,
-    sampling: SamplingParams,
+    sampler: TargetSampler,
     n: int,
     window: int,
     trials: int,
@@ -269,7 +262,8 @@ def run_lossless_suite(
     conventions: Sequence[bool] = (False,),
     couplers: Sequence[CouplerKind] = tuple(CouplerKind),
 ) -> list[TestReport]:
-    """Compare vanilla and every requested SJD variant to the exact law.
+    """Compare vanilla and every requested SJD variant to the exact sequence
+    law of ``sampler``; the enumeration and every decode share its row table.
 
     The TV threshold is ``TV_MARGIN`` times the larger of the vanilla
     decoder's measured TV (trusted by construction) and the analytic noise
@@ -279,14 +273,13 @@ def run_lossless_suite(
     selects the rejection conventions to exercise (False = finalize the
     residual token, True = redraft with it).
     """
-    sampler = TargetSampler(model, sampling)
-    exact = enumerate_sequence_distribution(model, sampling, n)
+    exact = enumerate_sequence_distribution(sampler, n)
 
     def law_of(label: str, coupler: CouplerKind | None = None, redraft: bool = False):
         def decode(keys):
             return decode_trials(sampler, n, keys, coupler, window, redraft, stats=False)[0]
 
-        return collect(decode, trials, rng.derive("collect", label), model.vocab_size)
+        return collect(decode, trials, rng.derive("collect", label), sampler.model.vocab_size)
 
     vanilla_law = law_of("vanilla")
     tv_vanilla = tv_to_exact(vanilla_law, exact)

@@ -64,9 +64,8 @@ def _paired_nfe(model, sampling, n, window, couplers, runs, master):
 
 def test_criterion_01_lossless_output_law():
     """Every decoder variant reproduces the exact sequence law."""
-    model = TabularModel(DESK_MODEL)
     reports = run_lossless_suite(
-        model, SAMPLING, DESK_N, DESK_WINDOW, DESK_TRIALS,
+        TargetSampler(TabularModel(DESK_MODEL), SAMPLING), DESK_N, DESK_WINDOW, DESK_TRIALS,
         RandomSource(MASTER_SEED).derive("lossless"),
         conventions=(False, True),
     )
@@ -320,9 +319,8 @@ def test_criterion_11_mutation_detection(monkeypatch):
         return MrsOutcome(False, x)  # keep the rejected draft: skips the residual draw
 
     monkeypatch.setattr(decoder_mod, "mrs", broken_mrs)
-    model = TabularModel(DESK_MODEL)
     reports = run_lossless_suite(
-        model, SAMPLING, DESK_N, DESK_WINDOW, DESK_TRIALS,
+        TargetSampler(TabularModel(DESK_MODEL), SAMPLING), DESK_N, DESK_WINDOW, DESK_TRIALS,
         RandomSource(MASTER_SEED).derive("lossless"),
         conventions=(False,), couplers=(CouplerKind.MAXIMAL,),
     )
@@ -349,9 +347,8 @@ def test_criterion_11_gate_flags_a_row_wise_redraft_residual_drawn_from_p(monkey
         return inverse_cdf_rows(p, p.cumsum(axis=1), np.arange(len(u)), u)
 
     monkeypatch.setattr(decoder_mod, "mrs_residual_rows", residual_from_p)
-    model = TabularModel(DESK_MODEL)
     reports = run_lossless_suite(
-        model, SAMPLING, DESK_N, DESK_WINDOW, DESK_TRIALS,
+        TargetSampler(TabularModel(DESK_MODEL), SAMPLING), DESK_N, DESK_WINDOW, DESK_TRIALS,
         RandomSource(MASTER_SEED).derive("lossless"),
         conventions=(False,), couplers=(CouplerKind.MAXIMAL,),
     )

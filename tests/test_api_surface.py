@@ -1,4 +1,5 @@
-"""Every function and public method under ``src/specjac`` has a caller there.
+"""Every function and public method under ``src/specjac`` has a caller there,
+and every name a module imports is used in it.
 
 A helper that only tests call belongs under ``tests/``, not in the package.
 The scan reads each module's syntax tree (``__init__.py`` only re-exports,
@@ -11,6 +12,8 @@ outside src, each with its reason.
 import ast
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "specjac").glob("*.py") if p.name != "__init__.py")
@@ -64,3 +67,35 @@ def test_every_definition_has_a_caller_in_src():
         and (is_method or name not in names)
     ]
     assert unused == [], f"defined in src but called only from outside it: {unused}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module-level imports of ``tree`` (``__future__``
+    features aside) that the module never loads, in import order."""
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    ]
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in loaded]
+
+
+def test_every_module_level_import_is_used():
+    unused = {path.name: _unused_imports(ast.parse(path.read_text())) for path in MODULES}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+@pytest.mark.parametrize("module, line, orphans", [
+    ("cli.py", "from typing import Any", ["Any"]),
+    ("oracle.py", "from .model import SamplingParams, TabularModel",
+     ["SamplingParams", "TabularModel"]),
+])
+def test_unused_import_scan_names_an_orphan(module, line, orphans):
+    source = (ROOT / "src" / "specjac" / module).read_text()
+    assert _unused_imports(ast.parse(f"{source}\n{line}\n")) == orphans

@@ -15,9 +15,12 @@ import yaml
 
 import specjac
 import specjac.decoder as decoder_mod
-from specjac.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main, write_csv, write_reports
-from specjac.config import build_config, load_config_file
+from specjac.cli import (
+    EXIT_CONFIG, EXIT_IO, EXIT_OK, build_parser, main, resolve_config, write_csv, write_reports,
+)
+from specjac.config import build_config, convert, load_config_file
 from specjac.errors import ConfigError
+from specjac.model import TargetSampler
 from specjac import oracle
 
 
@@ -143,6 +146,23 @@ class TestConfig:
         varied = cfg.replace_field("model.flatness", 9.0)
         assert varied.model.flatness == 9.0
         assert cfg.model.flatness == 2.0
+
+    @pytest.mark.parametrize("alias, path, first, last", [
+        ("--seed", "--run.seed", "5", "7"),
+        ("--out", "--output.path", "a.csv", "b.csv"),
+        ("--format", "--output.format", "csv", "report"),
+    ])
+    def test_alias_and_dotted_path_set_one_field(self, alias, path, first, last):
+        section, key = path[2:].split(".")
+
+        def field(*argv):
+            config = resolve_config(build_parser().parse_args(["generate", *argv]))
+            return getattr(getattr(config, section), key)
+
+        assert field(alias, first) == field(path, first) == convert(path[2:], first)
+        # both given, the later one on the command line wins, whichever it is
+        assert field(alias, first, path, last) == convert(path[2:], last)
+        assert field(path, first, alias, last) == convert(path[2:], last)
 
 
 class TestGenerate:
@@ -275,6 +295,23 @@ class TestAtomicWrites:
 
 
 class TestVerifyLossless:
+    def test_desk_run_builds_each_target_law_row_once(self, tmp_path, monkeypatch):
+        # the enumeration and every decode share one table: the uniform row
+        # plus the 1 + 4 + 16 contexts of V=4, order 2, n=5
+        built, add_rows = [], TargetSampler._add_rows
+
+        def counting(self, block):
+            built.append(len(block))
+            return add_rows(self, block)
+
+        monkeypatch.setattr(TargetSampler, "_add_rows", counting)
+        code = main([
+            "verify-lossless", "--config", os.path.join(ROOT, "configs", "desk.yaml"),
+            "--run.trials", "1000", "--out", str(tmp_path / "reports.csv"),
+        ])
+        assert code == EXIT_OK
+        assert sum(built) == 22
+
     def test_small_run_passes(self, tmp_path):
         out = tmp_path / "reports.csv"
         code = main([

@@ -171,17 +171,14 @@ class TestSjdEngine:
 
 class TestCouplerOrderings:
     def test_maximal_stabilizes_drafts_vs_independent(self):
-        model = TabularModel(FLAT_SPEC)
-        sampler = TargetSampler(model, SamplingParams())
+        sampler = TargetSampler(TabularModel(FLAT_SPEC), SamplingParams())
         master = RandomSource(31)
         hams = {}
         for coupler in (CouplerKind.MAXIMAL, CouplerKind.INDEPENDENT):
             fracs = []
             for k in range(40):
-                _, stats = decode_sjd(
-                    model, SamplingParams(), 48, 12, coupler,
-                    master.derive("trial", k), sampler=sampler,
-                )
+                keys = np.array([master.derive("trial", k).key], dtype=np.uint64)
+                _, stats = decode_trials(sampler, 48, keys, coupler, 12)
                 changed = int(stats.changed[stats.compared > 0].sum())
                 compared = int(stats.compared.sum())
                 if compared:

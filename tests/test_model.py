@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specjac.decoder import CouplerKind, decode_sjd
+from specjac.decoder import CouplerKind, decode_trials
 from specjac.errors import BudgetError
 from specjac.model import (
     BOS,
@@ -404,8 +404,9 @@ class TestEnumerate:
     def test_single_step_equals_target_distribution(self):
         model = TabularModel(SPEC)
         sampling = SamplingParams()
-        law = enumerate_sequence_distribution(model, sampling, 1)
-        dist = TargetSampler(model, sampling).dist([])
+        sampler = TargetSampler(model, sampling)
+        law = enumerate_sequence_distribution(sampler, 1)
+        dist = sampler.dist([])
         for token in range(4):
             assert law[token] == pytest.approx(float(dist.probs[token]), abs=1e-15)
 
@@ -413,9 +414,9 @@ class TestEnumerate:
         spec = ModelSpec(vocab_size=2, context_order=1, flatness=1.0, seed=9)
         model = TabularModel(spec)
         sampling = SamplingParams()
-        law = enumerate_sequence_distribution(model, sampling, 2)
-        assert len(law) == 4
         sampler = TargetSampler(model, sampling)
+        law = enumerate_sequence_distribution(sampler, 2)
+        assert len(law) == 4
         first = sampler.dist([])
         for a in range(2):
             cond = sampler.dist([a])
@@ -424,23 +425,24 @@ class TestEnumerate:
                 assert law[2 * a + b] == pytest.approx(expected, abs=1e-15)
 
     def test_total_mass(self):
-        law = enumerate_sequence_distribution(TabularModel(SPEC), SamplingParams(), 5)
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
+        law = enumerate_sequence_distribution(sampler, 5)
         assert np.count_nonzero(law) == 1024
         assert law.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_marginal_consistency(self):
-        model = TabularModel(SPEC)
-        sampling = SamplingParams(top_k=3)
-        law_n = enumerate_sequence_distribution(model, sampling, 4)
-        law_m = enumerate_sequence_distribution(model, sampling, 3)
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams(top_k=3))
+        law_n = enumerate_sequence_distribution(sampler, 4)
+        law_m = enumerate_sequence_distribution(sampler, 3)
         # the code of seq[:-1] is the code of seq divided by V
         reduced = law_n.reshape(-1, 4).sum(axis=1)
         assert np.array_equal(reduced > 0.0, law_m > 0.0)
         np.testing.assert_allclose(reduced, law_m, rtol=0, atol=1e-9)
 
     def test_budget_error(self):
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
         with pytest.raises(BudgetError, match="reduce the vocabulary size or the length"):
-            enumerate_sequence_distribution(TabularModel(SPEC), SamplingParams(), 13)
+            enumerate_sequence_distribution(sampler, 13)
 
     @pytest.mark.parametrize("spec, sampling, length", [
         (SPEC, SamplingParams(), 4),
@@ -463,7 +465,8 @@ class TestEnumerate:
             probs = [float(sampler.dist(seq[:i]).probs[t]) for i, t in enumerate(seq)]
             if all(p > 0.0 for p in probs):
                 expected[seq] = math.prod(probs, start=1.0)
-        law = enumerate_sequence_distribution(model, sampling, length)
+        # a fresh table: the enumeration alone must grow it past its first rows
+        law = enumerate_sequence_distribution(TargetSampler(model, sampling), length)
         assert law.shape == (spec.vocab_size**length,)
         listed = np.flatnonzero(law)[::-1]
         support = [
@@ -511,7 +514,7 @@ class TestModelSpecValidation:
         assert top == 3**39 - 1
         assert sampler.codes(np.ones((1, 40), dtype=np.int64), [0], [40])[0] == top
         # 45 tokens: the last contexts hold no BOS digit
-        tokens, stats = decode_sjd(
-            model, SamplingParams(), 45, 8, CouplerKind.MAXIMAL, RandomSource(2), sampler=sampler
-        )
-        assert len(tokens) == 45 and set(tokens) <= {0, 1} and stats.nfe <= 45
+        keys = np.array([RandomSource(2).key], dtype=np.uint64)
+        tokens, stats = decode_trials(sampler, 45, keys, CouplerKind.MAXIMAL, 8)
+        assert tokens.shape == (1, 45) and set(tokens[0].tolist()) <= {0, 1}
+        assert stats.nfe[0] <= 45

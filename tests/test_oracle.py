@@ -128,8 +128,8 @@ class TestTvToExact:
 
 class TestGofTest:
     def _exact_law(self):
-        model = TabularModel(SPEC)
-        return enumerate_sequence_distribution(model, SamplingParams(), 5)
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
+        return enumerate_sequence_distribution(sampler, 5)
 
     def _sample_law(self, exact, m, rng, shift=None):
         # draws over the support in listing order (descending codes)
@@ -387,14 +387,27 @@ class TestCouplingBoundSweep:
 class TestLosslessSuite:
     def test_small_scale_with_processors_passes(self):
         spec = ModelSpec(vocab_size=3, context_order=1, flatness=1.5, seed=21)
-        model = TabularModel(spec)
         sampling = SamplingParams(temperature=0.9, top_k=2, cfg_scale=2.0)
         reports = run_lossless_suite(
-            model, sampling, 3, 2, 6000, RandomSource(2024).derive("suite"),
+            TargetSampler(TabularModel(spec), sampling), 3, 2, 6000,
+            RandomSource(2024).derive("suite"),
             conventions=(False, True),
         )
         assert len(reports) == 14
         assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
+
+    def test_suite_reads_the_callers_table(self, monkeypatch):
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
+        made, init = [], TargetSampler.__init__
+
+        def counting(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(TargetSampler, "__init__", counting)
+        run_lossless_suite(sampler, 5, 4, 300, RandomSource(1), couplers=(CouplerKind.MAXIMAL,))
+        assert made == []
+        assert sampler._rows == 22  # the uniform row and the 1 + 4 + 16 contexts
 
     def test_corrupted_residual_sampling_is_detected(self, monkeypatch):
         # a coupler that keeps the rejected draft instead of residual
@@ -410,9 +423,8 @@ class TestLosslessSuite:
             return MrsOutcome(False, x)
 
         monkeypatch.setattr(decoder_mod, "mrs", broken_mrs)
-        model = TabularModel(SPEC)
         reports = run_lossless_suite(
-            model, SamplingParams(), 5, 4, 2 * 10**4,
+            TargetSampler(TabularModel(SPEC), SamplingParams()), 5, 4, 2 * 10**4,
             RandomSource(99).derive("suite"), couplers=(CouplerKind.MAXIMAL,),
         )
         by_name = {r.name: r for r in reports}
@@ -443,7 +455,7 @@ class TestOutOfVocabulary:
             return np.array([(0, 0)] * good + bad, dtype=np.int64), None
 
         monkeypatch.setattr(oracle_mod, "decode_trials", fake_decode)
-        reports = run_lossless_suite(model, SamplingParams(), 2, 2, trials, RandomSource(5))
+        reports = run_lossless_suite(sampler, 2, 2, trials, RandomSource(5))
         expected_tv = 0.5 * (
             abs(good / trials - exact[(0, 0)])
             + sum(p for seq, p in exact.items() if seq != (0, 0))
@@ -469,7 +481,8 @@ class TestReportTypes:
     ])
     def test_passed_is_a_python_bool(self, sampling, trials, single):
         reports = run_lossless_suite(
-            TabularModel(SPEC), sampling, 5, 4, trials, RandomSource(1234).derive("lossless"),
+            TargetSampler(TabularModel(SPEC), sampling), 5, 4, trials,
+            RandomSource(1234).derive("lossless"),
         )
         assert sum(r.notes == "degenerate single-cell law" for r in reports) == single
         assert all(type(r.passed) is bool for r in reports)
