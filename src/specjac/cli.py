@@ -75,15 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "generate", parents=common, help="run configured decodes, emit per-trial rows"
-    )
+    ).set_defaults(handler=cmd_generate)
     sub.add_parser(
         "verify-lossless", parents=common,
         help="compare vanilla and all couplers to the exact sequence law",
-    )
+    ).set_defaults(handler=cmd_verify_lossless)
 
     stats = sub.add_parser(
         "coupling-stats", parents=common, help="per-pair collision probabilities and bounds"
     )
+    stats.set_defaults(handler=cmd_coupling_stats)
     stats.add_argument("--pairs", type=int, default=50, help="number of random pairs")
     stats.add_argument("--vocab", type=int, default=16, help="pair vocabulary size")
     stats.add_argument(
@@ -99,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser("sweep", parents=common, help="sweep one axis with paired seeds")
+    sweep.set_defaults(handler=cmd_sweep)
     sweep.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
     sweep.add_argument(
         "--values", required=True, nargs="+", help="axis values (space or comma separated)"
@@ -253,7 +255,7 @@ GENERATE_HEADER = (
 )
 
 
-def cmd_generate(config: ExperimentConfig) -> int:
+def cmd_generate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     run = _run_columns(config)
     started = time.perf_counter()
 
@@ -285,7 +287,7 @@ def cmd_generate(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify_lossless(config: ExperimentConfig) -> int:
+def cmd_verify_lossless(config: ExperimentConfig, args: argparse.Namespace) -> int:
     started = time.perf_counter()
     reports = run_lossless_suite(
         TargetSampler(TabularModel(config.model), config.sampling),
@@ -380,19 +382,10 @@ def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = resolve_config(args)
-        if args.command == "generate":
-            return cmd_generate(config)
-        if args.command == "verify-lossless":
-            return cmd_verify_lossless(config)
-        if args.command == "coupling-stats":
-            return cmd_coupling_stats(config, args)
-        if args.command == "sweep":
-            return cmd_sweep(config, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # each subparser binds its command's handler
+        return args.handler(resolve_config(args), args)
     except (ConfigError, BudgetError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -135,18 +135,21 @@ def convert(path: str, value):
 
 def load_config_file(path: str) -> dict[str, dict[str, Any]]:
     """Parse a YAML config file into the nested-section dictionary, with
-    PyYAML's libyaml safe loader when PyYAML was built with it."""
+    PyYAML's libyaml safe loader when PyYAML was built with it.  A section
+    left empty (null) sets nothing."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:  # read as UTF-8
             raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if data is None:
         return {}
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a mapping of sections")
     for section, values in data.items():
-        if not isinstance(values, dict):
+        if values is None:
+            data[section] = {}
+        elif not isinstance(values, dict):
             raise ConfigError(f"{section}: section must be a mapping")
     return data
 

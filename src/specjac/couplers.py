@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, ZeroMassError
-from .prob import Categorical, residual_distribution
+from .prob import Categorical, _check_sizes, residual_distribution
 from .rng import RandomSource
 
 
@@ -58,9 +58,12 @@ def inverse_cdf_rows(
     return idx
 
 
-def mrs_accepts(u: np.ndarray, p_x: np.ndarray, q_x: np.ndarray) -> np.ndarray:
-    """Accept tests of many :func:`mrs` steps with first uniforms ``u``.
-    Strict, as in ``mrs``: u == 0 rejects a token with p(x) == 0."""
+def mrs_accepts(
+    u: float | np.ndarray, p_x: float | np.ndarray, q_x: float | np.ndarray
+) -> bool | np.ndarray:
+    """Accept tests of one or many :func:`mrs` steps with first uniforms ``u``:
+    x is kept when u < p(x) / q(x), strictly, since u == 0.0 is representable
+    and u <= 0 would accept a token with p(x) == 0."""
     return u < p_x / q_x
 
 
@@ -93,14 +96,11 @@ def mrs(p: Categorical, q: Categorical, x: int, rng: RandomSource) -> MrsOutcome
     aligned across call sites.  Viewed as a joint law over (input, output),
     this is the maximal coupling of q and p.
     """
-    if p.vocab_size != q.vocab_size:
-        raise ValueError(f"vocab sizes differ: {p.vocab_size} vs {q.vocab_size}")
+    _check_sizes(p, q)
     qx = q.probs.item(x)
     if qx <= 0.0:
         raise ValueError(f"draft token {x} has zero probability under q")
-    # Strict inequality: u == 0.0 is representable, and u <= 0 would otherwise
-    # accept a token with p(x) == 0.
-    if rng.draw_uniform01() < p.probs.item(x) / qx:
+    if mrs_accepts(rng.draw_uniform01(), p.probs.item(x), qx):
         return MrsOutcome(True, x)
     residual = residual_distribution(p, q)
     return MrsOutcome(False, inverse_cdf_sample(residual, rng.draw_uniform01()))
@@ -166,8 +166,7 @@ def mrs_joint_distribution(
     Row sums equal q, column sums equal p, and the diagonal mass equals
     1 - TV(p, q).
     """
-    if p.vocab_size != q.vocab_size:
-        raise ValueError(f"vocab sizes differ: {p.vocab_size} vs {q.vocab_size}")
+    _check_sizes(p, q)
     n = p.vocab_size
     if n > max_vocab:
         raise BudgetError(f"vocab size {n} exceeds enumeration budget {max_vocab}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import chdtrc
@@ -45,21 +45,14 @@ class TestReport:
     notes: str = ""
 
 
-def collect(
-    decode_fn: Callable[[np.ndarray], np.ndarray],
-    trials: int,
-    rng: RandomSource,
-    vocab: int,
-) -> EmpiricalLaw:
-    """Decode ``trials`` independent substreams in one call and count outputs:
-    ``decode_fn`` maps ``trial_keys(rng, trials)`` to the sequence matrix,
-    whose rows are counted by code over a ``vocab``-token alphabet."""
-    if trials < 1:
+def collect(sequences: np.ndarray, vocab: int) -> EmpiricalLaw:
+    """Count the rows of a decoded (trials, n) sequence matrix by code over
+    a ``vocab``-token alphabet."""
+    if len(sequences) < 1:
         raise ValueError("trials must be >= 1")
-    sequences = decode_fn(trial_keys(rng, trials))
     codes = sequence_codes(sequences, vocab)
     counts = np.bincount(codes[codes >= 0], minlength=vocab ** sequences.shape[1])
-    return EmpiricalLaw(counts, trials)
+    return EmpiricalLaw(counts, len(sequences))
 
 
 def _listed(exact: np.ndarray) -> np.ndarray:
@@ -276,10 +269,9 @@ def run_lossless_suite(
     exact = enumerate_sequence_distribution(sampler, n)
 
     def law_of(label: str, coupler: CouplerKind | None = None, redraft: bool = False):
-        def decode(keys):
-            return decode_trials(sampler, n, keys, coupler, window, redraft, stats=False)[0]
-
-        return collect(decode, trials, rng.derive("collect", label), sampler.model.vocab_size)
+        keys = trial_keys(rng.derive("collect", label), trials)
+        sequences = decode_trials(sampler, n, keys, coupler, window, redraft, stats=False)[0]
+        return collect(sequences, sampler.model.vocab_size)
 
     vanilla_law = law_of("vanilla")
     tv_vanilla = tv_to_exact(vanilla_law, exact)

@@ -26,9 +26,6 @@ _INV53 = 1.0 / (1 << 53)
 _CLIP = 2.0**-53
 NORMAL_BOUND = -float(ndtri(_CLIP))  # about 8.21
 
-# sha256 of string key components, memoized (the set of labels is tiny)
-_STR_HASHES: dict[str, int] = {}
-
 
 def _mix(z: int) -> int:
     """SplitMix64 finalizer: a bijective 64-bit mix with full avalanche."""
@@ -42,11 +39,7 @@ def _component(part: int | str) -> int:
     if kind is int:
         return part & _MASK
     if kind is str:
-        h = _STR_HASHES.get(part)
-        if h is None:
-            h = int.from_bytes(hashlib.sha256(part.encode("utf-8")).digest()[:8], "big")
-            _STR_HASHES[part] = h
-        return h
+        return int.from_bytes(hashlib.sha256(part.encode("utf-8")).digest()[:8], "big")
     raise TypeError(f"key components must be int or str, got {kind.__name__}")
 
 

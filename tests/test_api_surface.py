@@ -6,7 +6,8 @@ The scan reads each module's syntax tree (``__init__.py`` only re-exports,
 so its imports are not uses): a module-level function is used when some
 module loads it by name or attribute, a public method when some module
 loads it by attribute.  ``ALLOWED`` lists the few entry points called from
-outside src, each with its reason.
+outside src, each with its reason; an entry that gains a caller in src
+fails the scan until it leaves the list.
 """
 
 import ast
@@ -20,8 +21,6 @@ MODULES = sorted(p for p in (ROOT / "src" / "specjac").glob("*.py") if p.name !=
 SPANS = ROOT / "benchmarks" / "spans.py"
 
 ALLOWED = {
-    ("specjac.decoder", "decode_sjd"): "README library API (one-trial SJD decode)",
-    ("specjac.decoder", "decode_vanilla"): "README library API (one-trial vanilla decode)",
     ("specjac.couplers", "mrs_joint_distribution"): "exact joint law for the decoder-law oracle",
     ("specjac.cli", "entrypoint"): "console script in pyproject.toml",
 }
@@ -48,8 +47,17 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, True
 
 
-def test_every_definition_has_a_caller_in_src():
-    trees = {f"specjac.{path.stem}": ast.parse(path.read_text()) for path in MODULES}
+def _trees(extra: str = "") -> dict[str, ast.Module]:
+    """Syntax tree of each src module by dotted name; ``extra`` is source
+    appended to every module."""
+    return {
+        f"specjac.{path.stem}": ast.parse(f"{path.read_text()}\n{extra}") for path in MODULES
+    }
+
+
+def _callers(trees: dict[str, ast.Module]):
+    """A predicate telling whether some module of ``trees`` loads a
+    definition: a function by name or attribute, a method by attribute."""
     names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -57,16 +65,36 @@ def test_every_definition_has_a_caller_in_src():
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
-    allowed = _traced() | ALLOWED.keys()
+    return lambda name, is_method: name in attributes or (not is_method and name in names)
+
+
+def test_every_definition_has_a_caller_in_src():
+    trees = _trees()
+    called, allowed = _callers(trees), _traced() | ALLOWED.keys()
     unused = [
         f"{module}.{qualname}"
         for module, tree in trees.items()
         for qualname, name, is_method in _definitions(tree)
-        if (module, qualname) not in allowed
-        and name not in attributes
-        and (is_method or name not in names)
+        if (module, qualname) not in allowed and not called(name, is_method)
     ]
     assert unused == [], f"defined in src but called only from outside it: {unused}"
+
+
+def _stale(trees: dict[str, ast.Module]) -> list[str]:
+    """``ALLOWED`` entries that some module of ``trees`` now calls."""
+    called = _callers(trees)
+    return [
+        f"{module}.{qualname}" for module, qualname in ALLOWED
+        if called(qualname.split(".")[-1], "." in qualname)
+    ]
+
+
+@pytest.mark.parametrize("extra, stale", [
+    ("", []),
+    ("mrs_joint_distribution(p, q)", ["specjac.couplers.mrs_joint_distribution"]),
+])
+def test_allowlist_names_only_definitions_without_a_caller(extra, stale):
+    assert _stale(_trees(extra)) == stale
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -119,6 +119,27 @@ class TestConfig:
         assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
         assert "broken.yaml" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"model:\n  vocab_size: 4 # caf\xe9\n")
+        with pytest.raises(ConfigError, match="latin1.yaml"):
+            load_config_file(str(path))
+        assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
+        assert "latin1.yaml" in capsys.readouterr().err
+
+    def test_empty_section_sets_nothing(self, tmp_path):
+        # every entry commented out: YAML reads the section as null
+        path = tmp_path / "empty.yaml"
+        path.write_text("sampling:\n#  temperature: 0.5\nrun:\n  trials: 3\n")
+        assert load_config_file(str(path)) == {"sampling": {}, "run": {"trials": 3}}
+        assert build_config(load_config_file(str(path))) == build_config(
+            overrides={"run.trials": 3}
+        )
+        for other in ("3", "[]", "''"):
+            path.write_text(f"sampling: {other}\n")
+            with pytest.raises(ConfigError, match="sampling: section must be a mapping"):
+                load_config_file(str(path))
+
     @pytest.mark.parametrize("path", sorted(
         glob.glob(os.path.join(ROOT, "configs", "*.yaml"))
         + glob.glob(os.path.join(ROOT, "benchmarks", "configs", "*.yaml"))

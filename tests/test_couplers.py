@@ -21,7 +21,7 @@ from specjac.couplers import (
     sample_gumbel_noise,
     sample_independent,
 )
-from specjac.errors import BudgetError, ZeroMassError
+from specjac.errors import BudgetError, DimensionMismatchError, ZeroMassError
 from specjac.prob import Categorical, softmax, tv_distance
 from specjac.rng import RandomSource
 
@@ -92,7 +92,7 @@ class TestMrs:
             mrs(p, q, 1, RandomSource(5))
 
     def test_vocab_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             mrs(Categorical([1.0]), Categorical([0.5, 0.5]), 0, RandomSource(6))
 
     def test_acceptance_rate_matches_one_minus_tv(self):
@@ -277,6 +277,10 @@ class TestMrsJointDistribution:
         d = Categorical.uniform(10)
         with pytest.raises(BudgetError):
             mrs_joint_distribution(d, d, max_vocab=8)
+
+    def test_vocab_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            mrs_joint_distribution(Categorical([1.0]), Categorical([0.5, 0.5]))
 
 
 class TestBatchedPrimitives:

@@ -22,6 +22,7 @@ from specjac.decoder import (
     CouplerKind,
     decode_trials,
     decode_vanilla,
+    trial_keys,
 )
 from specjac.model import (
     ModelSpec,
@@ -54,25 +55,27 @@ SPEC = ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=11)
 class TestCollect:
     def test_single_run(self):
         sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
-        law = collect(lambda keys: decode_trials(sampler, 3, keys)[0], 1, RandomSource(1), 4)
+        law = collect(decode_trials(sampler, 3, trial_keys(RandomSource(1), 1))[0], 4)
         assert law.total == 1
         assert law.counts.sum() == 1
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            collect(np.empty((0, 3), dtype=np.int64), 4)
+
     def test_greedy_gives_single_entry(self):
         sampler = TargetSampler(TabularModel(SPEC), SamplingParams(top_k=1))
-        law = collect(lambda keys: decode_trials(sampler, 4, keys)[0], 50, RandomSource(2), 4)
+        law = collect(decode_trials(sampler, 4, trial_keys(RandomSource(2), 50))[0], 4)
         assert np.count_nonzero(law.counts) == 1
         assert law.total == 50
 
     def test_replay_identical(self):
         model = TabularModel(SPEC)
-        decoded = []
-
-        def decode(keys):
-            decoded.append(decode_trials(TargetSampler(model, SamplingParams()), 4, keys)[0])
-            return decoded[-1]
-
-        laws = [collect(decode, 200, RandomSource(3), 4) for _ in range(2)]
+        keys = trial_keys(RandomSource(3), 200)
+        decoded = [
+            decode_trials(TargetSampler(model, SamplingParams()), 4, keys)[0] for _ in range(2)
+        ]
+        laws = [collect(sequences, 4) for sequences in decoded]
         assert np.array_equal(laws[0].counts, laws[1].counts)
         # trial k decodes the stream rng.derive("trial", k), as one-trial calls do
         singles = [
@@ -242,7 +245,7 @@ class TestVectorMatchesDictReference:
         distinct = [vocab + j if j % 2 else -1 - j for j in range(bad.sum())]
         rows[bad, 0] = distinct if shuffled else vocab
         total = len(rows)
-        law = collect(lambda keys: rows, total, RandomSource(seed), vocab)
+        law = collect(rows, vocab)
         ref_law, ref_exact = reference.count_rows(rows), reference.dict_law(exact, vocab, length)
 
         assert law.total == total
