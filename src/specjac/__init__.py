@@ -8,16 +8,8 @@ coupling-cost guarantees.
 """
 
 from .config import DecodeConfig, ExperimentConfig, OutputConfig, RunConfig, build_config
-from .couplers import (
-    MrsOutcome,
-    gs_couple,
-    mrs,
-    mrs_joint_distribution,
-    sample_gumbel_noise,
-    sample_independent,
-)
-from .decoder import (CouplerKind, DecodeStats, decode_sjd, decode_trials, decode_vanilla,
-                      trial_keys)
+from .couplers import MrsOutcome, mrs
+from .decoder import CouplerKind, DecodeStats, decode_trials, trial_keys
 from .model import (
     ModelSpec,
     SamplingParams,
@@ -68,21 +60,15 @@ __all__ = [
     "apply_processors",
     "build_config",
     "collect",
-    "decode_sjd",
     "decode_trials",
-    "decode_vanilla",
     "enumerate_sequence_distribution",
     "gof_test",
-    "gs_couple",
     "independent_collision",
     "mix_cfg",
     "mrs",
-    "mrs_joint_distribution",
     "renyi2_entropy",
     "residual_distribution",
     "run_lossless_suite",
-    "sample_gumbel_noise",
-    "sample_independent",
     "sequence_codes",
     "tv_distance",
     "trial_keys",

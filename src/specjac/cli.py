@@ -23,14 +23,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .config import (
-    FIELDS,
-    FORMAT_CHOICES,
-    ExperimentConfig,
-    build_config,
-    convert,
-    load_config_file,
-)
+from .config import FIELDS, FORMAT_CHOICES, ExperimentConfig, build_config, load_config_file
 from .decoder import CouplerKind, DecodeStats, decode_trials, trial_keys
 from .errors import BudgetError, ConfigError
 from .model import TabularModel, TargetSampler
@@ -241,7 +234,6 @@ def _aggregate(
     return {
         "nfe": float(nfes.mean()),
         "nfe_std": float(nfes.std()),
-        "iterations": float(nfes.mean()),
         "accepted": float(np.mean(n / nfes)),
         "hamming": mean(hammings),
         "beta": mean(betas),
@@ -274,7 +266,7 @@ def cmd_generate(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
     agg = _aggregate(stats, config.decode.length, hammings, betas)
     rows.append((
-        "aggregate", *run, config.run.trials, agg["nfe"], agg["nfe_std"], agg["iterations"],
+        "aggregate", *run, config.run.trials, agg["nfe"], agg["nfe_std"], agg["nfe"],
         agg["accepted"], agg["hamming"], agg["beta"], None,
     ))
     write_csv(config.output.path, GENERATE_HEADER, rows)
@@ -297,6 +289,10 @@ def cmd_verify_lossless(config: ExperimentConfig, args: argparse.Namespace) -> i
         RandomSource(config.run.seed).derive("lossless"),
         conventions=(config.decode.redraft,),
     )
+    threshold = reports[0].threshold  # the TV gate's, shared by every variant
+    if threshold >= 1.0:
+        raise ConfigError(f"run.trials: {config.run.trials} is too few to test: the TV "
+                          f"threshold {threshold:.3f} is not below 1, the largest TV")
     write_reports(
         config.output.path, reports, config.run.seed, config.fingerprint(),
         config.output.format,
@@ -351,30 +347,23 @@ SWEEP_HEADER = (
 )
 
 
-def _parse_axis_values(axis: str, raw_values: Sequence[str]) -> list:
-    tokens: list[str] = []
-    for chunk in raw_values:
-        tokens.extend(t for t in chunk.split(",") if t)
-    if not tokens:
-        raise ConfigError("sweep.values: at least one value required")
-    try:
-        return [convert(SWEEP_AXES[axis], t) for t in tokens]
-    except ValueError as exc:
-        raise ConfigError(f"sweep.values: {exc}") from exc
-
-
 def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
     path = SWEEP_AXES[args.axis]
-    values = _parse_axis_values(args.axis, args.values)
+    section, key = path.split(".")
+    tokens = [token for chunk in args.values for token in chunk.split(",") if token]
+    if not tokens:
+        raise ConfigError("sweep.values: at least one value required")
+    # every point passes the config schema before the first decode
+    points = [config.replace_field(path, token) for token in tokens]
     master = RandomSource(config.run.seed)
     rows = []
-    for value in values:
-        varied = config.replace_field(path, value)
+    for varied in points:
         # the k-th trial shares its master key across every sweep value
         stats = _decode_all(varied, master)[1]
         agg = _aggregate(stats, varied.decode.length, stats.mean_hamming(), stats.mean_beta())
         rows.append((
-            args.axis, value, *_run_columns(varied), varied.run.trials,
+            args.axis, getattr(getattr(varied, section), key), *_run_columns(varied),
+            varied.run.trials,
             agg["nfe"], agg["nfe_std"], agg["accepted"], agg["hamming"], agg["beta"],
         ))
     write_csv(config.output.path, SWEEP_HEADER, rows)

@@ -133,13 +133,30 @@ def convert(path: str, value):
     return hint(value)
 
 
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader (libyaml's when PyYAML was built with it) that
+    rejects a key repeated in one mapping, where PyYAML keeps the last."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)  # checks keys are hashable
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node)  # the key built above
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 def load_config_file(path: str) -> dict[str, dict[str, Any]]:
-    """Parse a YAML config file into the nested-section dictionary, with
-    PyYAML's libyaml safe loader when PyYAML was built with it.  A section
-    left empty (null) sets nothing."""
+    """Parse a YAML config file into the nested-section dictionary with
+    :class:`_UniqueKeyLoader`.  A section left empty (null) sets nothing."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            data = yaml.load(handle, Loader=_UniqueKeyLoader)
         except (yaml.YAMLError, UnicodeDecodeError) as exc:  # read as UTF-8
             raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if data is None:

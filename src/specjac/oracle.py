@@ -21,7 +21,7 @@ from .couplers import inverse_cdf_sample, negated_gumbel
 from .decoder import CouplerKind, decode_trials, trial_keys
 from .model import TargetSampler, enumerate_sequence_distribution, sequence_codes
 from .prob import Categorical, independent_collision, renyi2_entropy, softmax, tv_distance
-from .rng import RandomSource
+from .rng import RandomSource, normals_of
 
 
 @dataclass
@@ -92,23 +92,18 @@ def expected_sampling_tv_std(exact: np.ndarray, trials: int) -> float:
     return 0.5 * math.sqrt(np.cumsum((1.0 - 2.0 / math.pi) * p * (1.0 - p) / trials)[-1])
 
 
-def gof_test(
-    law: EmpiricalLaw,
-    exact: np.ndarray,
-    name: str = "gof",
-    alpha: float = 0.001,
-) -> TestReport:
+def gof_test(law: EmpiricalLaw, exact: np.ndarray, name: str = "gof") -> TestReport:
     """Pearson chi-square of the empirical law against exact probabilities.
 
     Cells with expected count below 5 are pooled into one tail cell.  Passes
-    when the p-value exceeds ``alpha``.  Observations outside the exact
+    when the p-value exceeds ``GOF_ALPHA``.  Observations outside the exact
     support fail outright (the exact law assigns them probability zero).
     """
     total, listed = law.total, _listed(exact)
     out_of_support = total - int(law.counts[listed].sum())
     if out_of_support:
         return TestReport(
-            name, 0.0, alpha, False, total,
+            name, 0.0, GOF_ALPHA, False, total,
             notes=f"{out_of_support} observations outside the exact support",
         )
     probs, observed = exact[listed], law.counts[listed].astype(np.float64)
@@ -122,14 +117,14 @@ def gof_test(
     if ncells <= 1:
         matches = ncells == 1 and bool(obs[0] == total)
         return TestReport(
-            name, 1.0 if matches else 0.0, alpha, matches, total,
+            name, 1.0 if matches else 0.0, GOF_ALPHA, matches, total,
             notes="degenerate single-cell law",
         )
     statistic = float(((obs - exp) ** 2 / exp).sum())
     dof = ncells - 1
     p_value = float(chdtrc(dof, statistic))  # the chi-square survival function
     return TestReport(
-        name, p_value, alpha, p_value > alpha, total,
+        name, p_value, GOF_ALPHA, p_value > GOF_ALPHA, total,
         notes=f"chi2={statistic:.3f} dof={dof} pooled={int(small.sum())}",
     )
 
@@ -194,9 +189,9 @@ def random_pair(
 ) -> tuple[Categorical, Categorical]:
     """Random pair; ``closeness`` perturbs the first logits instead of
     drawing independent ones, producing small-TV pairs."""
-    base = rng.derive("base").normals(vocab)
+    base = normals_of(rng.derive("base").uniforms(vocab))
     p = Categorical(softmax(sharpness * base))
-    other = rng.derive("other").normals(vocab)
+    other = normals_of(rng.derive("other").uniforms(vocab))
     if closeness is None:
         q = Categorical(softmax(sharpness * other))
     else:
@@ -244,6 +239,8 @@ def pair_coupling(
 
 # Head room of the TV gate over its calibration (vanilla TV or noise band).
 TV_MARGIN = 1.2
+# Level of the chi-square gate: it fails when the p-value is at most this.
+GOF_ALPHA = 0.001
 
 
 def run_lossless_suite(

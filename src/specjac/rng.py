@@ -117,10 +117,6 @@ class RandomSource:
             self._count += m
             yield _draws(np.add(steps[:m], offset, out=z[:m]), scratch[:m], u[:m])
 
-    def normals(self, n: int) -> np.ndarray:
-        """``n`` standard normals: :func:`normals_of` ``n`` uniforms."""
-        return normals_of(self.uniforms(n))
-
 
 def normals_of(u: np.ndarray) -> np.ndarray:
     """Standard normals: the inverse normal CDF of the uniforms ``u``.

@@ -1,7 +1,10 @@
 """Every function and public method under ``src/specjac`` has a caller there,
-and every name a module imports is used in it.
+every name a module imports is used in it, and the package exports only
+names that some module loads.
 
-A helper that only tests call belongs under ``tests/``, not in the package.
+A helper that only tests call belongs under ``tests/``, not in the package;
+a one-law convenience that only tests and the tracer call stays in its own
+module, importable from there, but out of ``specjac.__all__``.
 The scan reads each module's syntax tree (``__init__.py`` only re-exports,
 so its imports are not uses): a module-level function is used when some
 module loads it by name or attribute, a public method when some module
@@ -15,6 +18,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+import specjac
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "specjac").glob("*.py") if p.name != "__init__.py")
@@ -95,6 +100,25 @@ def _stale(trees: dict[str, ast.Module]) -> list[str]:
 ])
 def test_allowlist_names_only_definitions_without_a_caller(extra, stale):
     assert _stale(_trees(extra)) == stale
+
+
+def _uncalled_exports(trees: dict[str, ast.Module], names) -> list[str]:
+    """The entries of ``names`` that no module of ``trees`` loads, in order."""
+    called = _callers(trees)
+    return [name for name in names if not called(name, False)]
+
+
+def test_every_export_has_a_caller_in_src():
+    assert _uncalled_exports(_trees(), specjac.__all__) == []
+
+
+@pytest.mark.parametrize("extra, uncalled", [
+    ("", ["decode_sjd", "mrs_joint_distribution"]),
+    ("mrs_joint_distribution(p, q)", ["decode_sjd"]),
+])
+def test_export_scan_names_an_uncalled_function(extra, uncalled):
+    names = ["mrs", "decode_sjd", "decode_trials", "mrs_joint_distribution"]
+    assert _uncalled_exports(_trees(extra), names) == uncalled
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -14,6 +14,7 @@ import pytest
 import yaml
 
 import specjac
+import specjac.cli as cli_mod
 import specjac.decoder as decoder_mod
 from specjac.cli import (
     EXIT_CONFIG, EXIT_IO, EXIT_OK, build_parser, main, resolve_config, write_csv, write_reports,
@@ -139,6 +140,25 @@ class TestConfig:
             path.write_text(f"sampling: {other}\n")
             with pytest.raises(ConfigError, match="sampling: section must be a mapping"):
                 load_config_file(str(path))
+
+    @pytest.mark.parametrize("text, key", [
+        ("run: {seed: 1, seed: 2}\n", "'seed'"),
+        # a section given twice would otherwise lose its first copy whole
+        ("run:\n  seed: 1\nrun:\n  trials: 5\n", "'run'"),
+    ])
+    def test_repeated_key_exits_2_naming_the_file_and_key(self, text, key, tmp_path, capsys):
+        path = tmp_path / "twice.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"(?s)twice.yaml: .*duplicate key {key}"):
+            load_config_file(str(path))
+        assert main(["generate", "--config", str(path), "--run.trials", "2"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "twice.yaml" in err and key in err
+
+    def test_merge_key_override_is_not_a_repeat(self, tmp_path):
+        path = tmp_path / "merged.yaml"
+        path.write_text("base: &b {seed: 1, trials: 5}\nrun:\n  <<: *b\n  seed: 3\n")
+        assert load_config_file(str(path))["run"] == {"seed": 3, "trials": 5}
 
     @pytest.mark.parametrize("path", sorted(
         glob.glob(os.path.join(ROOT, "configs", "*.yaml"))
@@ -371,6 +391,14 @@ class TestVerifyLossless:
         assert main(["verify-lossless", *argv, "--run.trials", "2000", "--out", str(out)]) == EXIT_OK
         assert all(row["passed"] == "true" for row in _read_csv(out))
 
+    @pytest.mark.parametrize("trials", ["1", "223"])
+    def test_run_too_small_to_test_exits_2(self, trials, tmp_path, capsys):
+        # the desk TV threshold is 14.93 at 1 trial and 1.000 at 223: a TV never exceeds 1
+        out = tmp_path / "reports.csv"
+        assert main(["verify-lossless", "--run.trials", trials, "--out", str(out)]) == EXIT_CONFIG
+        assert "run.trials" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_exceeded_is_config_error(self, capsys):
         code = main([
             "verify-lossless", "--model.vocab_size", "16", "--decode.length", "8",
@@ -492,6 +520,21 @@ class TestSweep:
 
     def test_empty_values_rejected(self):
         assert main(["sweep", "--axis", "L", "--values", ","]) == EXIT_CONFIG
+
+    def test_rejected_value_decodes_nothing(self, tmp_path, monkeypatch, capsys):
+        calls, decode = [], cli_mod.decode_trials
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "decode_trials", counting)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--axis", "L", "--values", "4,0", "--run.trials", "3", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "decode.window: must be >= 1" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
 
 def _child(*args):

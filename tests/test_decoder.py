@@ -333,7 +333,6 @@ def _assert_list_means(stats, n):
     expected = {
         "nfe": float(np.array(nfes, dtype=np.float64).mean()),
         "nfe_std": float(np.array(nfes, dtype=np.float64).std()),
-        "iterations": mean(nfes),
         "accepted": mean([n / nfe for nfe in nfes]),
         "hamming": mean(hammings),
         "beta": mean(betas),

@@ -27,7 +27,7 @@ from specjac.prob import (
     renyi2_entropy,
     softmax,
 )
-from specjac.rng import RandomSource
+from specjac.rng import RandomSource, normals_of
 
 SPEC = ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=11)
 
@@ -322,7 +322,7 @@ class TestBulkBuild:
         for prefix in prefixes:
             key = _context_key(model, prefix)
             stream = root.derive(*key) if key else root.derive("root")
-            expected = stream.normals(vocab) / flatness
+            expected = normals_of(stream.uniforms(vocab)) / flatness
             assert _logits(model, key).values.tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)

@@ -106,7 +106,7 @@ def test_normals_stay_within_the_bound():
     # the extreme uniforms map to exactly -+NORMAL_BOUND; configuration
     # checks bound the processed logits by it
     assert normals_of(np.array([0.0, 1.0 - 2.0**-53])).tolist() == [-NORMAL_BOUND, NORMAL_BOUND]
-    assert np.abs(RandomSource(3).normals(100000)).max() < NORMAL_BOUND
+    assert np.abs(normals_of(RandomSource(3).uniforms(100000))).max() < NORMAL_BOUND
 
 
 class TestBatchedKeys:
