@@ -43,17 +43,9 @@ SWEEP_AXES = {
 }
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    """The options every subcommand takes, as a parent parser (no help)."""
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--config", metavar="PATH", help="YAML experiment config")
-    # aliases of dotted paths share their destination: the later one given wins
-    parser.add_argument("--seed", dest="run.seed", metavar="SEED", type=int,
-                        help="override run.seed")
-    parser.add_argument("--out", dest="output.path", metavar="PATH", help="override output.path")
-    parser.add_argument("--format", dest="output.format", choices=FORMAT_CHOICES, help="override "
-                        "output.format (read by verify-lossless; the other commands write csv)")
-    for path in FIELDS:
+def _add_fields(parser: argparse.ArgumentParser, *paths: str) -> argparse.ArgumentParser:
+    """Give ``parser`` a hidden dotted-path override of each of ``paths``."""
+    for path in paths:
         parser.add_argument(f"--{path}", dest=path, metavar="VALUE", help=argparse.SUPPRESS)
     return parser
 
@@ -64,18 +56,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Speculative Jacobi decoding experiments on enumerable toy models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = [_common_parser()]
+    # each command takes overrides of just the config fields it reads; all
+    # four read run.seed and output.path, whose aliases share their
+    # destination, so the later one given wins
+    common = _add_fields(argparse.ArgumentParser(add_help=False), "run.seed", "output.path")
+    common.add_argument("--config", metavar="PATH", help="YAML experiment config")
+    common.add_argument("--seed", dest="run.seed", metavar="SEED", type=int,
+                        help="override run.seed")
+    common.add_argument("--out", dest="output.path", metavar="PATH", help="override output.path")
+    # all but coupling-stats read the target law, the decode and run.trials;
+    # the coupler (verify-lossless runs every one) and the format (only
+    # verify-lossless reads it) are added where they are read
+    elsewhere = ("decode.coupler", "run.seed", "output.format", "output.path")
+    law = [common, _add_fields(argparse.ArgumentParser(add_help=False),
+                               *(path for path in FIELDS if path not in elsewhere))]
 
-    sub.add_parser(
-        "generate", parents=common, help="run configured decodes, emit per-trial rows"
-    ).set_defaults(handler=cmd_generate)
-    sub.add_parser(
-        "verify-lossless", parents=common,
+    _add_fields(sub.add_parser(
+        "generate", parents=law, help="run configured decodes, emit per-trial rows"
+    ), "decode.coupler").set_defaults(handler=cmd_generate)
+    verify = _add_fields(sub.add_parser(
+        "verify-lossless", parents=law,
         help="compare vanilla and all couplers to the exact sequence law",
-    ).set_defaults(handler=cmd_verify_lossless)
+    ), "output.format")
+    verify.set_defaults(handler=cmd_verify_lossless)
+    verify.add_argument("--format", dest="output.format", choices=FORMAT_CHOICES, help="override "
+                        "output.format (read by verify-lossless; the other commands write csv)")
 
     stats = sub.add_parser(
-        "coupling-stats", parents=common, help="per-pair collision probabilities and bounds"
+        "coupling-stats", parents=[common], help="per-pair collision probabilities and bounds"
     )
     stats.set_defaults(handler=cmd_coupling_stats)
     stats.add_argument("--pairs", type=int, default=50, help="number of random pairs")
@@ -92,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="logit sharpness range controlling the entropy regime",
     )
 
-    sweep = sub.add_parser("sweep", parents=common, help="sweep one axis with paired seeds")
-    sweep.set_defaults(handler=cmd_sweep)
+    sweep = sub.add_parser("sweep", parents=law, help="sweep one axis with paired seeds")
+    _add_fields(sweep, "decode.coupler").set_defaults(handler=cmd_sweep)
     sweep.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
     sweep.add_argument(
         "--values", required=True, nargs="+", help="axis values (space or comma separated)"
@@ -103,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     data = load_config_file(args.config) if args.config else None
-    given = vars(args)
-    return build_config(data, {path: given[path] for path in FIELDS if given[path] is not None})
+    given = {path: value for path, value in vars(args).items() if value is not None}
+    return build_config(data, {path: given[path] for path in FIELDS if path in given})
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +357,8 @@ SWEEP_HEADER = (
 
 def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
     path = SWEEP_AXES[args.axis]
+    if getattr(args, path) is not None:
+        raise ConfigError(f"{path}: set by --axis {args.axis}; give its values with --values")
     section, key = path.split(".")
     tokens = [token for chunk in args.values for token in chunk.split(",") if token]
     if not tokens:

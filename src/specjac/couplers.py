@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, ZeroMassError
+from .errors import BudgetError, DimensionMismatchError, ZeroMassError
 from .prob import Categorical, _check_sizes, residual_distribution
 from .rng import RandomSource
 
@@ -151,8 +151,9 @@ def gs_couple(p: Categorical, q: Categorical, noise: np.ndarray) -> tuple[int, i
     Returns (X, Y) with X = argmax(log p + g) and Y = argmax(log q + g);
     marginally X ~ p and Y ~ q (see :func:`gumbel_argmax`).
     """
-    if p.vocab_size != q.vocab_size or p.vocab_size != noise.shape[0]:
-        raise ValueError("p, q, and noise must share one vocab size")
+    _check_sizes(p, q)
+    if noise.shape[0] != p.vocab_size:
+        raise DimensionMismatchError(f"noise length {noise.shape[0]} vs vocab size {p.vocab_size}")
     return int(gumbel_argmax(p.probs, noise)), int(gumbel_argmax(q.probs, noise))
 
 

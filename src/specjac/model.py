@@ -19,10 +19,6 @@ from .errors import BudgetError
 from .prob import Categorical, Logits, apply_processors, mix_cfg
 from .rng import RandomSource, derive_keys, normals_of, uniforms_at
 
-# Context padding symbol for positions closer to the sequence start than the
-# model order; never a valid token id.
-BOS = -1
-
 # Largest number of sequences ``enumerate_sequence_distribution`` will list.
 ENUMERATION_BUDGET = 10**6
 

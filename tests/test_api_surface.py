@@ -1,6 +1,6 @@
 """Every function and public method under ``src/specjac`` has a caller there,
-every name a module imports is used in it, and the package exports only
-names that some module loads.
+every module constant is loaded there, every name a module imports is used
+in it, and the package exports only names that some module loads.
 
 A helper that only tests call belongs under ``tests/``, not in the package;
 a one-law convenience that only tests and the tracer call stays in its own
@@ -119,6 +119,33 @@ def test_every_export_has_a_caller_in_src():
 def test_export_scan_names_an_uncalled_function(extra, uncalled):
     names = ["mrs", "decode_sjd", "decode_trials", "mrs_joint_distribution"]
     assert _uncalled_exports(_trees(extra), names) == uncalled
+
+
+def _unloaded_constants(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.NAME`` of each name bound by a module-level assignment of
+    ``trees`` (dunders aside) that no module of ``trees`` loads."""
+    called = _callers(trees)
+    return [
+        f"{module}.{node.id}"
+        for module, tree in trees.items()
+        for statement in tree.body
+        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and not node.id.startswith("__") and not called(node.id, False)
+    ]
+
+
+def test_every_module_constant_is_loaded_in_src():
+    assert _unloaded_constants(_trees()) == []
+
+
+@pytest.mark.parametrize("extra, unloaded", [
+    ("ORPHAN = 1", [f"specjac.{path.stem}.ORPHAN" for path in MODULES]),
+    ("ORPHAN: int = 1\nprint(ORPHAN)", []),
+])
+def test_constant_scan_names_an_unloaded_constant(extra, unloaded):
+    assert _unloaded_constants(_trees(extra)) == unloaded
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

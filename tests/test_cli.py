@@ -1,8 +1,10 @@
 """Configuration plumbing and the four CLI commands."""
 
+import argparse
 import csv
 import glob
 import hashlib
+import io
 import os
 import stat
 import subprocess
@@ -197,7 +199,8 @@ class TestConfig:
         section, key = path[2:].split(".")
 
         def field(*argv):
-            config = resolve_config(build_parser().parse_args(["generate", *argv]))
+            # the one command that takes --format
+            config = resolve_config(build_parser().parse_args(["verify-lossless", *argv]))
             return getattr(getattr(config, section), key)
 
         assert field(alias, first) == field(path, first) == convert(path[2:], first)
@@ -537,6 +540,91 @@ class TestSweep:
         assert not out.exists()
 
 
+# guided sampling, so model.cfg_seed acts, and the default maximal coupler,
+# so decode.window and decode.redraft act
+TINY = ["--model.vocab_size", "3", "--decode.length", "3", "--sampling.cfg_scale", "1"]
+OVERRIDE_BASES = {
+    "generate": ["generate", *TINY, "--run.trials", "20"],
+    "verify-lossless": ["verify-lossless", *TINY, "--run.trials", "300"],
+    "coupling-stats": ["coupling-stats", "--pairs", "2", "--vocab", "4", "--trials", "100"],
+    "sweep": ["sweep", *TINY, "--run.trials", "20", "--axis", "L", "--values", "1,2"],
+}
+# a valid value of each field that differs from every base and default
+OVERRIDE_VALUES = {
+    "model.vocab_size": "4", "model.context_order": "1", "model.flatness": "0.5",
+    "model.seed": "3", "model.cfg_seed": "5",
+    "sampling.temperature": "0.5", "sampling.top_k": "2", "sampling.top_p": "0.5",
+    "sampling.cfg_scale": "2",
+    "decode.length": "4", "decode.window": "2", "decode.coupler": "gumbel",
+    "decode.redraft": "true",
+    "run.trials": "30", "run.seed": "7", "output.format": "report",
+}
+
+
+def _dotted_options(command):
+    """The config fields whose dotted-path override ``command`` accepts."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [s[2:] for a in sub.choices[command]._actions for s in a.option_strings if "." in s]
+
+
+@pytest.mark.parametrize("command", list(OVERRIDE_BASES))
+def test_no_accepted_override_is_a_no_op(command, tmp_path):
+    # each override must change the exit status or, the fingerprint aside,
+    # the output; an output.path override must move the file
+    out, moved = tmp_path / "out", tmp_path / "moved"
+
+    def run(*extra):
+        try:
+            code = main([*OVERRIDE_BASES[command], "--out", str(out), *extra])
+        except SystemExit as exc:
+            code = exc.code
+        if not out.exists():
+            return code, None
+        rows = list(csv.reader(io.StringIO(out.read_text())))
+        out.unlink()
+        if "fingerprint" in rows[0]:
+            column = rows[0].index("fingerprint")
+            for row in rows[1:]:
+                row[column] = ""
+        return code, rows
+
+    base = run()
+    assert base[1] is not None
+    no_ops = []
+    for path in _dotted_options(command):
+        if path == "output.path":
+            run("--output.path", str(moved))
+            acted = moved.exists()
+        else:
+            acted = run(f"--{path}", OVERRIDE_VALUES[path]) != base
+        if not acted:
+            no_ops.append(path)
+    assert no_ops == []
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["coupling-stats", "--pairs", "1", "--vocab", "4", "--run.trials", "5"], "--run.trials 5"),
+    (["verify-lossless", "--decode.coupler", "gumbel"], "--decode.coupler gumbel"),
+    (["generate", "--format", "report"], "--format report"),
+], ids=["coupling-stats", "verify-lossless", "generate"])
+def test_unread_override_exits_2_naming_it(argv, option, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_an_override_of_its_axis(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_mod, "decode_trials", lambda *args: pytest.fail("decoded"))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--axis", "flatness", "--values", "1,2", "--model.flatness", "9"]
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert "model.flatness: set by --axis flatness" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _child(*args):
     """Run ``python *args`` in a child that imports the specjac under test,
     installed or not."""
@@ -567,10 +655,10 @@ def test_cli_import_leaves_scipy_stats_out():
 # sha256 of ``specjac [command] --help`` at COLUMNS=80
 HELP_DIGESTS = {
     None: "36df894f1314d70f35507073fb6e05c4dfc4bba6040a3a9dbd135d7ffeb1b04f",
-    "generate": "9780c969eec0f2e22ef608974121cbdb56ad4f9c200cbd7838258f9a5b1ca111",
+    "generate": "ce0783e126c99e3a56525cace62150b723e20e78217218439f57a46d7d108c54",
     "verify-lossless": "07614cb125af8d4f65aa54198e869c00f90f83023217684c3f49ddd89cdf8012",
-    "coupling-stats": "702080f234391ca167d57ab59778efce2c0bbc57dd9ea2f8c2241b81d06f4a5f",
-    "sweep": "80ba007c8899c44a075a77853c8b903a6fa2fc4724153b8dcf23370b9b1b5d74",
+    "coupling-stats": "ba304dd08582489ce515924d29b962f6e523fc28f4455cf93061ccf53c026c78",
+    "sweep": "875b362a0a6511836313b4e10d9fbcfe70be93a8422f14e049be6023b733ea0d",
 }
 
 

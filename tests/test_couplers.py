@@ -237,8 +237,13 @@ class TestGsCouple:
         assert x == 0
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             gs_couple(Categorical([1.0]), Categorical([0.5, 0.5]), np.zeros(2))
+
+    def test_noise_length_mismatch(self):
+        d = Categorical([0.5, 0.5])
+        with pytest.raises(DimensionMismatchError, match="noise length 3"):
+            gs_couple(d, d, np.zeros(3))
 
 
 class TestMrsJointDistribution:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from specjac.decoder import CouplerKind, decode_trials
 from specjac.errors import BudgetError
 from specjac.model import (
-    BOS,
     ModelSpec,
     SamplingParams,
     TabularModel,
@@ -28,6 +27,10 @@ from specjac.prob import (
     softmax,
 )
 from specjac.rng import RandomSource, normals_of
+
+# Context padding symbol for positions closer to the sequence start than the
+# model order; never a valid token id.
+BOS = -1
 
 SPEC = ModelSpec(vocab_size=4, context_order=2, flatness=2.0, seed=11)
 
