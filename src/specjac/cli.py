@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare vanilla and all couplers to the exact sequence law",
     ), "output.format")
     verify.set_defaults(handler=cmd_verify_lossless)
-    verify.add_argument("--format", dest="output.format", choices=FORMAT_CHOICES, help="override "
-                        "output.format (read by verify-lossless; the other commands write csv)")
+    verify.add_argument("--format", dest="output.format", choices=FORMAT_CHOICES,
+                        help="override output.format")
 
     stats = sub.add_parser(
         "coupling-stats", parents=[common], help="per-pair collision probabilities and bounds"

@@ -113,10 +113,18 @@ def decode_trials(
     ``keys[i]`` is the stream key of trial i's random source, and trial i
     draws exactly what a one-key call on ``keys[i]`` draws.  ``coupler``
     None selects vanilla decoding; otherwise speculative Jacobi decoding
-    with that draft coupler, ``window`` and rejection convention (see
-    :func:`decode_sjd`).  Returns the (trials, n) token matrix and, when
-    ``stats`` is true, the run's :class:`DecodeStats` (else None).  Trials
-    run in chunks of ``TRIAL_CHUNK``.
+    with that draft coupler and ``window``.  Returns the (trials, n) token
+    matrix and, when ``stats`` is true, the run's :class:`DecodeStats` (else
+    None).  Trials run in chunks of ``TRIAL_CHUNK``.
+
+    ``redraft`` selects the rejection convention: by default the residual
+    token drawn at the first rejection is finalized and the window advances
+    past it; with ``redraft=True`` that token instead becomes the position's
+    draft for the next iteration (it is then accepted with certainty, since
+    its context is already final).  Both conventions produce sequences
+    distributed exactly as vanilla decoding; the default finalizes at least
+    one token per iteration so nfe <= n, while redraft admits zero-progress
+    iterations and guarantees only nfe <= 2n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -171,10 +179,10 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
     initializer's row (never a model row) has not been in a window: fresh.
 
     Each iteration draws every slot's draft uniforms 1, 2 and verify uniform
-    1 in one ``uniforms_at`` call; :func:`_residuals` draws the verify
-    residual's uniform 2.  :func:`_redraft`, the one per-coupler function,
-    takes the draft uniforms.  A slot's Gumbel noise is a function of its
-    trial and position, so it is computed where it is used, not stored.
+    1 in one ``uniforms_at`` call.  :func:`_draft`, the one per-coupler
+    function, takes the draft uniforms; :func:`_verify` takes verify
+    uniform 1 and draws the verify residual's uniform 2.  Between the two,
+    the window is evaluated in one model call per trial.
     """
     count, uniform = len(keys), sampler.UNIFORM_ROW
     live, start = np.arange(count), np.zeros(count, np.int64)
@@ -185,7 +193,7 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
     t = 0
     while len(live):
         if t >= 4 * n + 64:  # stall guard; progress is guaranteed per convention
-            raise RuntimeError("decode_sjd failed to make progress")
+            raise RuntimeError("decode_trials failed to make progress")
         width = np.minimum(window, n - start)
         first = np.cumsum(width) - width  # flat index of each trial's first slot
         wb = np.repeat(np.arange(len(live)), width)
@@ -193,54 +201,31 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
         tr, ps = live[wb], start[wb] + wj
         dkeys, vkeys = derive_keys(keyring[wb, :2], t, ps[:, None]).T
         u = uniforms_at(np.stack([dkeys, dkeys, vkeys]), [[1], [2], [1]])
-
-        # Drafting.  Fresh slots sample independently from the uniform
-        # initializer; surviving slots re-draw through the coupler; redraft
-        # carry-overs (no previous draft) keep their verify-produced token.
         dr, pr = drow[tr, ps], prow[tr, ps]
         fresh, redo = dr == uniform, pr >= 0
-        out[tr[fresh], ps[fresh]] = inverse_cdf_rows(
-            sampler.probs, sampler.cdf, dr[fresh], u[0, fresh]
-        )
-        at = tr[redo], ps[redo]
-        out[at] = _redraft(sampler, coupler, dr[redo], pr[redo], ptok[at], u[:2, redo],
-                           keyring[wb[redo], 2], ps[redo])
-
-        # Evaluate every window in one parallel model call per trial.
+        _draft(sampler, coupler, out, tr, ps, dr, pr, ptok, fresh, redo, u[:2], keyring[wb, 2])
         tok = out[tr, ps]
         ev = sampler.rows(sampler.codes(out, tr, ps))
-        probs = sampler.probs
-        if log is not None:
-            changed, compared = record_hamming(tok, ptok[tr, ps], redo, wb, len(live))
-            seen = ~fresh
-            betas = record_beta(probs[ev[seen]], probs[dr[seen]])
-
-        # Verify in order until the first rejection; one scalar residual
-        # draw per rejecting trial, through ``decoder.mrs`` (see _residuals).
-        reject = ~mrs_accepts(u[2], probs[ev, tok], probs[dr, tok])
-        stop = width.copy()
-        np.minimum.at(stop, wb[reject], wj[reject])
-        rejected = stop < width
-        x = (first + stop)[rejected]
-        at = tr[x], ps[x]
-        out[at] = _residuals(sampler, ev[x], dr[x], tok[x], vkeys[x])
+        stop, x = _verify(sampler, out, tr, ps, wb, wj, width, first, u[2], vkeys, dr, tok, ev)
         if redraft:
             # the residual token becomes the slot's next draft, its law the
             # new evaluation; it is accepted with certainty next iteration
-            done = stop
+            done, at = stop, (tr[x], ps[x])
             drow[at], prow[at] = ev[x], -1
         else:
-            done = stop + rejected
+            done = stop + (stop < width)
+        if log is not None:
+            seen, probs = ~fresh, sampler.probs
+            changed, compared = record_hamming(tok, ptok[tr, ps], redo, wb, len(live))
+            log.append((np.stack([offset + live, done, changed, compared]),
+                        np.stack([offset + tr[seen], ps[seen]]),
+                        record_beta(probs[ev[seen]], probs[dr[seen]])))
 
         # Slide: survivors past the scan stop carry the new evaluation as
         # their draft law and their current draft as previous data.
         slide = wj > stop[wb]
         at = tr[slide], ps[slide]
         ptok[at], prow[at], drow[at] = tok[slide], dr[slide], ev[slide]
-
-        if log is not None:
-            log.append((np.stack([offset + live, done, changed, compared]),
-                        np.stack([offset + tr[seen], ps[seen]]), betas))
         start = start + done
         keep = start < n
         live, start, keyring = live[keep], start[keep], keyring[keep]
@@ -248,42 +233,59 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
     return out
 
 
-def _redraft(sampler, coupler, rows, prev_rows, prev_tokens, u, gumbel_keys, positions):
-    """New drafts of surviving slots through the coupler, the engine's only
-    per-coupler code.  Rows 0 and 1 of ``u`` are the slots' draft uniforms 1
-    and 2 this iteration; a slot's Gumbel noise is uniforms 1..V of
-    ``derive_keys(gumbel_key, pos)``."""
+def _draft(sampler, coupler, out, tr, ps, rows, prev_rows, ptok, fresh, redo, u, gumbel_keys):
+    """Write every window slot's new draft to ``out``: the engine's only
+    per-coupler code.  Slot i is (``tr[i]``, ``ps[i]``), its draft law row
+    ``rows[i]``.  Fresh slots draw independently from the uniform
+    initializer; surviving slots (``redo``) re-draw through the coupler;
+    redraft carry-overs (neither) keep their verify-produced token.  Rows 0
+    and 1 of ``u`` are the slots' draft uniforms 1 and 2; a slot's Gumbel
+    noise is uniforms 1..V of ``derive_keys(gumbel_key, pos)``."""
     probs = sampler.probs
+    out[tr[fresh], ps[fresh]] = inverse_cdf_rows(probs, sampler.cdf, rows[fresh], u[0, fresh])
+    at, rows, u = (tr[redo], ps[redo]), rows[redo], u[:, redo]
     if coupler is CouplerKind.INDEPENDENT:
-        return inverse_cdf_rows(probs, sampler.cdf, rows, u[0])
-    if coupler is CouplerKind.GUMBEL:
-        slot_keys = derive_keys(gumbel_keys, positions)[:, None]
+        out[at] = inverse_cdf_rows(probs, sampler.cdf, rows, u[0])
+    elif coupler is CouplerKind.GUMBEL:
+        slot_keys = derive_keys(gumbel_keys[redo], at[1])[:, None]
         noise = gumbel_from_uniform(uniforms_at(slot_keys, np.arange(1, probs.shape[1] + 1)))
-        return gumbel_argmax(probs[rows], noise)
-    # maximal: modified rejection sampling of the previous draft; rejected
-    # slots draw their residual row-wise on the second uniform, as mrs would
-    drafts = prev_tokens.copy()
-    reject = ~mrs_accepts(u[0], probs[rows, prev_tokens], probs[prev_rows, prev_tokens])
-    drafts[reject] = mrs_residual_rows(probs, rows[reject], prev_rows[reject], u[1, reject])
-    return drafts
+        out[at] = gumbel_argmax(probs[rows], noise)
+    else:  # maximal: modified rejection sampling of the previous draft;
+        # rejected slots draw their residual row-wise on the second uniform
+        prev_rows, drafts = prev_rows[redo], ptok[at]
+        reject = ~mrs_accepts(u[0], probs[rows, drafts], probs[prev_rows, drafts])
+        drafts[reject] = mrs_residual_rows(probs, rows[reject], prev_rows[reject], u[1, reject])
+        out[at] = drafts
 
 
-def _residuals(sampler, p_rows, q_rows, tokens, keys) -> np.ndarray:
-    """Outputs of rejecting verify steps, one scalar :func:`mrs` call each on
-    the slot's own stream (its first draw repeats the vectorised accept test).
-    Each distinct row is wrapped as a :class:`Categorical` once per call and
-    shared by every slot that reads it.
+def _verify(sampler, out, tr, ps, wb, wj, width, first, u, keys, rows, tokens, evals):
+    """Verify each window's drafts in order until its first rejection, by
+    modified rejection sampling of draft ``tokens`` (drawn from ``rows``)
+    against the new evaluations ``evals`` on verify uniforms ``u``.  Slot i
+    is slot ``wj[i]`` of window ``wb[i]``, which starts at flat index
+    ``first[wb[i]]`` and holds ``width[wb[i]]`` slots.  Returns each
+    window's scan stop (its first rejected slot, else its width) and the
+    flat indices of the rejected slots.
 
-    Verify-only: redraft residuals go through :func:`mrs_residual_rows`.
-    The scalar call stays because mutation checks of the losslessness gate
-    (acceptance criterion 11, the benchmark's self-test) patch
-    ``decoder.mrs`` with a scalar signature."""
-    p_rows, q_rows = p_rows.tolist(), q_rows.tolist()
+    Each rejected slot's residual goes to ``out``: one scalar :func:`mrs`
+    call each on the slot's own stream ``keys[i]`` (its first draw repeats
+    the vectorised accept test), each distinct row wrapped as a
+    :class:`Categorical` once per call and shared.  The maximal redraft's
+    residuals are row-wise (:func:`_draft`); this call stays scalar because
+    mutation checks of the losslessness gate (acceptance criterion 11, the
+    benchmark's self-test) patch ``decoder.mrs`` with a scalar signature."""
+    probs = sampler.probs
+    reject = ~mrs_accepts(u, probs[evals, tokens], probs[rows, tokens])
+    stop = width.copy()
+    np.minimum.at(stop, wb[reject], wj[reject])
+    x = (first + stop)[stop < width]
+    p_rows, q_rows = evals[x].tolist(), rows[x].tolist()
     law = {row: sampler.categorical(row) for row in {*p_rows, *q_rows}}
-    return np.array([
-        mrs(law[p], law[q], x, RandomSource.from_key(k)).token
-        for p, q, x, k in zip(p_rows, q_rows, tokens.tolist(), keys.tolist())
+    out[tr[x], ps[x]] = np.array([
+        mrs(law[p], law[q], token, RandomSource.from_key(k)).token
+        for p, q, token, k in zip(p_rows, q_rows, tokens[x].tolist(), keys[x].tolist())
     ], dtype=np.int64)
+    return stop, x
 
 
 def decode_vanilla(
@@ -313,18 +315,10 @@ def decode_sjd(
     rng: RandomSource,
     redraft: bool = False,
 ) -> tuple[TokenSequence, DecodeStats]:
-    """Speculative Jacobi decoding with the chosen draft coupler.
-
-    ``redraft`` selects the rejection convention: by default the residual
-    token drawn at the first rejection is finalized and the window advances
-    past it; with ``redraft=True`` that token instead becomes the position's
-    draft for the next iteration (it is then accepted with certainty, since
-    its context is already final).  Both conventions produce sequences
-    distributed exactly as ``decode_vanilla``; the default finalizes at least
-    one token per iteration so nfe <= n, while redraft admits zero-progress
-    iterations and guarantees only nfe <= 2n.  A one-trial call of
-    :func:`decode_trials` on a row table of its own; to share one table
-    across calls, call :func:`decode_trials`.
+    """Speculative Jacobi decoding with the chosen draft coupler and
+    rejection convention (``redraft``; see :func:`decode_trials`).  A
+    one-trial call of :func:`decode_trials` on a row table of its own; to
+    share one table across calls, call :func:`decode_trials`.
     """
     sampler, keys = TargetSampler(model, sampling), np.array([rng.key], dtype=np.uint64)
     tokens, stats = decode_trials(sampler, n, keys, coupler, window, redraft)

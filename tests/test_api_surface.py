@@ -1,6 +1,7 @@
 """Every function and public method under ``src/specjac`` has a caller there,
 every module constant is loaded there, every name a module imports is used
-in it, and the package exports only names that some module loads.
+in it, the package exports only names that some module loads, and the
+decode engine names a coupler in one function, ``decoder._draft``.
 
 A helper that only tests call belongs under ``tests/``, not in the package;
 a one-law convenience that only tests and the tracer call stays in its own
@@ -20,10 +21,12 @@ from pathlib import Path
 import pytest
 
 import specjac
+from specjac.decoder import CouplerKind
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "specjac").glob("*.py") if p.name != "__init__.py")
 SPANS = ROOT / "benchmarks" / "spans.py"
+DECODER = ROOT / "src" / "specjac" / "decoder.py"
 
 ALLOWED = {
     ("specjac.couplers", "mrs_joint_distribution"): "exact joint law for the decoder-law oracle",
@@ -178,3 +181,26 @@ def test_every_module_level_import_is_used():
 def test_unused_import_scan_names_an_orphan(module, line, orphans):
     source = (ROOT / "src" / "specjac" / module).read_text()
     assert _unused_imports(ast.parse(f"{source}\n{line}\n")) == orphans
+
+
+def _per_coupler_functions(tree: ast.Module) -> list[str]:
+    """Names of the functions of ``tree`` that name a ``CouplerKind`` member
+    as an attribute (``CouplerKind.MAXIMAL``), in source order."""
+    members = {kind.name for kind in CouplerKind}
+    return [
+        function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        if any(
+            isinstance(node, ast.Attribute) and node.attr in members
+            and isinstance(node.value, ast.Name) and node.value.id == "CouplerKind"
+            for node in ast.walk(function)
+        )
+    ]
+
+
+@pytest.mark.parametrize("extra, functions", [
+    ("", ["_draft"]),
+    ("def stray(kind):\n    return kind is CouplerKind.MAXIMAL", ["_draft", "stray"]),
+])
+def test_draft_is_the_engines_one_per_coupler_function(extra, functions):
+    tree = ast.parse(f"{DECODER.read_text()}\n{extra}\n")
+    assert _per_coupler_functions(tree) == functions

@@ -656,7 +656,7 @@ def test_cli_import_leaves_scipy_stats_out():
 HELP_DIGESTS = {
     None: "36df894f1314d70f35507073fb6e05c4dfc4bba6040a3a9dbd135d7ffeb1b04f",
     "generate": "ce0783e126c99e3a56525cace62150b723e20e78217218439f57a46d7d108c54",
-    "verify-lossless": "07614cb125af8d4f65aa54198e869c00f90f83023217684c3f49ddd89cdf8012",
+    "verify-lossless": "f49668f91634a065add173ba682005c5b6ea4eb3149fe63a3a7ea5195d7e9ee3",
     "coupling-stats": "ba304dd08582489ce515924d29b962f6e523fc28f4455cf93061ccf53c026c78",
     "sweep": "875b362a0a6511836313b4e10d9fbcfe70be93a8422f14e049be6023b733ea0d",
 }

@@ -168,6 +168,22 @@ class TestSjdEngine:
         with pytest.raises(ValueError):
             decode_sjd(model, SamplingParams(), 5, 0, CouplerKind.MAXIMAL, RandomSource(1))
 
+    def test_stall_guard_stops_a_verify_step_that_finalizes_nothing(self, monkeypatch):
+        # stop 0 and no rejected slot: under the redraft convention no
+        # trial advances, so the guard must end the loop after 4n + 64 calls
+        calls = []
+
+        def stalled(sampler, out, tr, ps, wb, wj, width, *rest):
+            calls.append(len(width))
+            return np.zeros_like(width), np.empty(0, np.int64)
+
+        monkeypatch.setattr(decoder_mod, "_verify", stalled)
+        sampler = TargetSampler(TabularModel(SPEC), SamplingParams())
+        keys = trial_keys(RandomSource(1), 3)
+        with pytest.raises(RuntimeError, match="^decode_trials failed to make progress$"):
+            decode_trials(sampler, 5, keys, CouplerKind.MAXIMAL, 4, redraft=True)
+        assert calls == [3] * (4 * 5 + 64)
+
 
 class TestCouplerOrderings:
     def test_maximal_stabilizes_drafts_vs_independent(self):
