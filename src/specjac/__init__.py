@@ -33,7 +33,6 @@ from .prob import (
     independent_collision,
     mix_cfg,
     renyi2_entropy,
-    residual_distribution,
     tv_distance,
 )
 from .rng import RandomSource
@@ -67,7 +66,6 @@ __all__ = [
     "mix_cfg",
     "mrs",
     "renyi2_entropy",
-    "residual_distribution",
     "run_lossless_suite",
     "sequence_codes",
     "tv_distance",

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, DimensionMismatchError, ZeroMassError
-from .prob import Categorical, _check_sizes, residual_distribution
+from .prob import Categorical, _check_sizes, positive_residual
 from .rng import RandomSource
 
 
@@ -26,15 +26,16 @@ class MrsOutcome(NamedTuple):
     token: int
 
 
-def inverse_cdf_sample(dist: Categorical, u: float | np.ndarray) -> int | np.ndarray:
-    """Map uniform draws to tokens via the cumulative distribution.
+def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> int | np.ndarray:
+    """Map uniform draws to tokens via the cumulative sum of the probability
+    vector ``probs``.
 
-    Token k is returned when u falls in [cdf(k-1), cdf(k)); zero-probability
-    tokens have empty intervals and are never returned.  A scalar ``u``
-    gives an int, an array ``u`` an array of tokens.
+    Token k is returned when u falls in [cdf(k-1), cdf(k)): the number of
+    cumulative entries <= u.  Zero-probability tokens have empty intervals
+    and are never returned.  A scalar ``u`` gives an int, an array ``u`` an
+    array of tokens.
     """
-    probs = dist.probs
-    idx = probs.cumsum().searchsorted(u, "right")
+    idx = np.add.accumulate(probs).searchsorted(u, "right")  # cumsum, less dispatch
     # cumulative sum drifted below 1.0 and u fell past it: last positive token
     over = idx == probs.size
     if isinstance(u, np.ndarray):
@@ -43,10 +44,15 @@ def inverse_cdf_sample(dist: Categorical, u: float | np.ndarray) -> int | np.nda
     return int(np.flatnonzero(probs)[-1] if over else idx)
 
 
+def inverse_cdf_sample(dist: Categorical, u: float | np.ndarray) -> int | np.ndarray:
+    """:func:`inverse_cdf` of the law ``dist``."""
+    return inverse_cdf(dist.probs, u)
+
+
 def inverse_cdf_rows(
     probs: np.ndarray, cdf: np.ndarray, rows: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """Row-wise :func:`inverse_cdf_sample`: entry i maps ``u[i]`` through
+    """Row-wise :func:`inverse_cdf`: entry i maps ``u[i]`` through
     row ``rows[i]`` of the ``probs`` / ``cdf`` tables.  The token is the
     number of cumulative entries <= u, as ``searchsorted`` finds it; drift
     past the last entry falls back the same way."""
@@ -94,16 +100,19 @@ def mrs(p: Categorical, q: Categorical, x: int, rng: RandomSource) -> MrsOutcome
     from the normalized positive part of p - q.  Consumes exactly one uniform
     for the accept test and one more only on rejection, so seeded replays stay
     aligned across call sites.  Viewed as a joint law over (input, output),
-    this is the maximal coupling of q and p.
+    this is the maximal coupling of q and p.  The residual is drawn from the
+    bare vectors (:func:`positive_residual`, :func:`inverse_cdf`).
     """
     _check_sizes(p, q)
-    qx = q.probs.item(x)
+    pv, qv = p.probs, q.probs
+    if not 0 <= x < qv.size:
+        raise ValueError(f"draft token {x} is outside the vocabulary 0..{qv.size - 1}")
+    qx = qv.item(x)
     if qx <= 0.0:
         raise ValueError(f"draft token {x} has zero probability under q")
-    if mrs_accepts(rng.draw_uniform01(), p.probs.item(x), qx):
+    if mrs_accepts(rng.draw_uniform01(), pv.item(x), qx):
         return MrsOutcome(True, x)
-    residual = residual_distribution(p, q)
-    return MrsOutcome(False, inverse_cdf_sample(residual, rng.draw_uniform01()))
+    return MrsOutcome(False, inverse_cdf(positive_residual(pv, qv), rng.draw_uniform01()))
 
 
 def negated_gumbel(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -176,9 +185,10 @@ def mrs_joint_distribution(
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = np.minimum(1.0, pv / qv)
     alpha = np.where(qv == 0.0, 1.0, alpha)
-    pos = np.maximum(pv - qv, 0.0)
-    mass = pos.sum()
-    residual = pos / mass if mass > 0.0 else np.zeros(n)
+    try:
+        residual = positive_residual(pv, qv)
+    except ZeroMassError:  # p - q has no positive part: no residual draw
+        residual = np.zeros(n)
     joint = qv[:, None] * ((1.0 - alpha)[:, None] * residual[None, :])
     joint[np.arange(n), np.arange(n)] += qv * alpha
     return joint

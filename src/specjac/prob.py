@@ -130,18 +130,25 @@ def independent_collision(p: Categorical, q: Categorical) -> float:
     return float(p.probs @ q.probs)
 
 
-def residual_distribution(p: Categorical, q: Categorical) -> Categorical:
-    """Normalized positive part of p - q.
+def positive_residual(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Normalized positive part of p - q, for two probability vectors of one
+    size (unchecked).
 
-    The unnormalized mass equals ``tv_distance(p, q)``; raises
+    The unnormalized mass equals their TV distance; raises
     :class:`ZeroMassError` when p == q elementwise (nothing to resample).
     """
-    _check_sizes(p, q)
-    pos = np.maximum(p.probs - q.probs, 0.0)
+    pos = np.maximum(p - q, 0.0)
     mass = float(pos.sum())
     if mass <= 0.0:
         raise ZeroMassError("residual of identical distributions has zero mass")
-    return Categorical._from_normalized(pos / mass)
+    return pos / mass
+
+
+def residual_distribution(p: Categorical, q: Categorical) -> Categorical:
+    """Normalized positive part of p - q as a law: :func:`positive_residual`
+    of their vectors, after the size check."""
+    _check_sizes(p, q)
+    return Categorical._from_normalized(positive_residual(p.probs, q.probs))
 
 
 def mix_cfg(cond: Logits, uncond: Logits, scale: float) -> Logits:

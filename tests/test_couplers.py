@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import reference_couplers as reference
 from specjac.couplers import (
     MrsOutcome,
     gs_couple,
     gumbel_from_uniform,
+    inverse_cdf,
     inverse_cdf_rows,
     inverse_cdf_sample,
     mrs,
@@ -22,7 +24,7 @@ from specjac.couplers import (
     sample_independent,
 )
 from specjac.errors import BudgetError, DimensionMismatchError, ZeroMassError
-from specjac.prob import Categorical, softmax, tv_distance
+from specjac.prob import Categorical, positive_residual, softmax, tv_distance
 from specjac.rng import RandomSource
 
 EULER_GAMMA = 0.5772156649015329
@@ -94,6 +96,14 @@ class TestMrs:
     def test_vocab_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             mrs(Categorical([1.0]), Categorical([0.5, 0.5]), 0, RandomSource(6))
+
+    @pytest.mark.parametrize("x", [-1, 3])
+    def test_draft_outside_vocabulary_rejected(self, x):
+        # a negative index would read q's last entry and accept token -1
+        p = Categorical([0.1, 0.2, 0.7])
+        q = Categorical([0.5, 0.25, 0.25])
+        with pytest.raises(ValueError, match=f"draft token {x} is outside the vocabulary 0..2"):
+            mrs(p, q, x, RandomSource(13))
 
     def test_acceptance_rate_matches_one_minus_tv(self):
         p = Categorical([0.6, 0.4])
@@ -384,6 +394,90 @@ class TestBatchedPrimitives:
         assert mrs_residual_rows(probs, np.array([0, 1]), np.array([1, 0]), u).tolist() == [1, 0]
         with pytest.raises(ZeroMassError):
             mrs_residual_rows(probs, np.array([1, 0]), np.array([0, 2]), u)
+
+
+def _outcome(step, *args):
+    """What ``step(*args)`` returns, or the type of the ValueError it raises."""
+    try:
+        return step(*args)
+    except ValueError as error:  # ZeroMassError included
+        return type(error)
+
+
+def _law_pair(vocab: int, seed: int, masked: float, tied: float, drift: bool) -> np.ndarray:
+    """Rows p and q of a random law pair: a ``masked`` share of entries is
+    zero, a ``tied`` share of q's entries copies p's, and with ``drift`` p is
+    scaled so its cumulative sum ends below 1 (with every entry tied, p < q
+    wherever q > 0, so p - q has no positive part)."""
+    gen = np.random.default_rng(seed)
+    probs = gen.random((2, vocab)) * (gen.random((2, vocab)) >= masked)
+    ties = gen.random(vocab) < tied
+    probs[1, ties] = probs[0, ties]
+    probs[:, gen.integers(vocab)] += 0.5
+    probs /= probs.sum(axis=1, keepdims=True)
+    if drift:
+        probs[0] *= 1.0 - 2.0**-50
+    return probs
+
+
+def _assert_edge_uniforms_match(probs: np.ndarray, interior: float) -> None:
+    """``mrs`` and the reference agree for every draft token of the law pair
+    ``probs``, q(x) == 0 included, when the first uniform rejects unless
+    p(x) >= q(x) and the second is 0, ``interior`` or 1 - 2**-53; so do the
+    residual vector and its inverse CDF at those uniforms."""
+    p, q = (Categorical._from_normalized(row) for row in probs)
+    residual = _outcome(positive_residual, probs[0], probs[1])
+    law = _outcome(reference.residual_distribution, p, q)
+    if residual is ZeroMassError:
+        assert law is ZeroMassError
+    else:
+        assert residual.tobytes() == law.probs.tobytes()
+    for u in (0.0, interior, 1.0 - 2.0**-53):
+        for x in range(probs.shape[1]):
+            got = _outcome(mrs, p, q, x, _Scripted(1.0 - 2.0**-53, u))
+            assert got == _outcome(reference.mrs, p, q, x, _Scripted(1.0 - 2.0**-53, u))
+        if residual is not ZeroMassError:
+            assert inverse_cdf(residual, u) == reference.inverse_cdf_sample(law, u)
+
+
+LAWS = dict(vocab=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
+            masked=st.floats(0.0, 0.9), tied=st.floats(0.0, 1.0), drift=st.booleans())
+
+
+class TestMrsMatchesReference:
+    """``mrs`` and its vector functions against the composition they
+    replaced, a residual ``Categorical`` and its inverse CDF
+    (``tests/reference_couplers.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**LAWS, key=st.integers(0, 2**64 - 1), pick=st.integers(0, 2**16))
+    def test_same_outcome_and_draws_on_random_streams(self, vocab, seed, masked, tied, drift,
+                                                      key, pick):
+        probs = _law_pair(vocab, seed, masked, tied, drift)
+        p, q = (Categorical._from_normalized(row) for row in probs)
+        support = np.flatnonzero(probs[1])
+        x = int(support[pick % support.size])  # a draft with q(x) > 0
+        got, want = RandomSource.from_key(key), RandomSource.from_key(key)
+        assert _outcome(mrs, p, q, x, got) == _outcome(reference.mrs, p, q, x, want)
+        assert got._count == want._count
+
+    @settings(max_examples=200, deadline=None)
+    @given(**LAWS, interior=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_same_residual_and_errors_at_edge_uniforms(self, vocab, seed, masked, tied, drift,
+                                                       interior):
+        _assert_edge_uniforms_match(_law_pair(vocab, seed, masked, tied, drift), interior)
+
+    def test_residual_whose_cdf_ends_below_the_last_uniform(self):
+        probs = np.array([[0.05] * 10 + [0.0], [0.0] * 10 + [1.0]])
+        # the cumulative sum ends at 1 - 2**-53, so that uniform falls past it
+        assert np.cumsum(positive_residual(probs[0], probs[1]))[-1] <= 1.0 - 2.0**-53
+        _assert_edge_uniforms_match(probs, 0.5)
+
+    def test_residual_without_mass(self):
+        probs = _law_pair(5, 1, 0.0, 1.0, True)  # p < q wherever q > 0
+        with pytest.raises(ZeroMassError):
+            positive_residual(probs[0], probs[1])
+        _assert_edge_uniforms_match(probs, 0.5)
 
 
 class _Scripted:
