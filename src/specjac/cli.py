@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import os
+import secrets
 import sys
 import time
 from typing import Callable, Iterable, Sequence, TextIO
@@ -143,9 +144,11 @@ def _write(path: str | None, emit: Callable[[TextIO], None]) -> None:
         with open(target, "w", encoding="utf-8", newline="") as handle:
             emit(handle)
         return
-    tmp = f"{target}.{os.getpid()}.tmp"
+    # a name of this call's own, opened before the cleanup can remove it
+    tmp = f"{target}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    handle = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as handle:
+        with handle:
             emit(handle)
         os.replace(tmp, target)
     except BaseException:

@@ -44,11 +44,6 @@ def inverse_cdf(probs: np.ndarray, u: float | np.ndarray) -> int | np.ndarray:
     return int(np.flatnonzero(probs)[-1] if over else idx)
 
 
-def inverse_cdf_sample(dist: Categorical, u: float | np.ndarray) -> int | np.ndarray:
-    """:func:`inverse_cdf` of the law ``dist``."""
-    return inverse_cdf(dist.probs, u)
-
-
 def inverse_cdf_rows(
     probs: np.ndarray, cdf: np.ndarray, rows: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
@@ -90,7 +85,7 @@ def mrs_residual_rows(
 
 def sample_independent(dist: Categorical, rng: RandomSource) -> int:
     """Draw one token from ``dist`` using a single uniform."""
-    return inverse_cdf_sample(dist, rng.draw_uniform01())
+    return inverse_cdf(dist.probs, rng.draw_uniform01())
 
 
 def mrs(p: Categorical, q: Categorical, x: int, rng: RandomSource) -> MrsOutcome:

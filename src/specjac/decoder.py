@@ -192,7 +192,7 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
 
     t = 0
     while len(live):
-        if t >= 4 * n + 64:  # stall guard; progress is guaranteed per convention
+        if t >= 2 * n:  # stall guard at the proven bound nfe <= 2n (see decode_trials)
             raise RuntimeError("decode_trials failed to make progress")
         width = np.minimum(window, n - start)
         first = np.cumsum(width) - width  # flat index of each trial's first slot

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import chdtrc
 
-from .couplers import inverse_cdf_sample, negated_gumbel
+from .couplers import inverse_cdf, negated_gumbel
 from .decoder import CouplerKind, decode_trials, trial_keys
 from .model import TargetSampler, enumerate_sequence_distribution, sequence_codes
 from .prob import Categorical, independent_collision, renyi2_entropy, softmax, tv_distance
@@ -71,25 +71,20 @@ def tv_to_exact(law: EmpiricalLaw, exact: np.ndarray) -> float:
     return 0.5 * float(np.cumsum(terms)[-1])  # left to right: the order is in the report bytes
 
 
-def expected_sampling_tv(exact: np.ndarray, trials: int) -> float:
-    """Expected TV of an honest multinomial sample from the exact law.
+def sampling_tv_moments(exact: np.ndarray, trials: int) -> tuple[float, float]:
+    """Mean and standard deviation of the TV of an honest multinomial sample
+    of ``trials`` draws from the exact law.
 
-    Normal approximation: E|freq_s - p_s| ~ sqrt(2 p_s (1 - p_s) / (pi m)).
-    """
-    p = exact[_listed(exact)]
-    return 0.5 * float(np.cumsum(np.sqrt(2.0 * p * (1.0 - p) / (math.pi * trials)))[-1])
-
-
-def expected_sampling_tv_std(exact: np.ndarray, trials: int) -> float:
-    """Standard deviation of the TV of an honest multinomial sample.
-
-    Var|freq_s - p_s| ~ (1 - 2/pi) p_s (1 - p_s) / m per cell, summed as if
-    independent; with many comparable cells the statistic concentrates to a
-    few percent of its mean, so the band stays tight at scale while small
+    Normal approximation: E|freq_s - p_s| ~ sqrt(2 p_s (1 - p_s) / (pi m))
+    and Var|freq_s - p_s| ~ (1 - 2/pi) p_s (1 - p_s) / m per cell, summed as
+    if independent; with many comparable cells the statistic concentrates to
+    a few percent of its mean, so the band stays tight at scale while small
     runs get an honest width.
     """
     p = exact[_listed(exact)]
-    return 0.5 * math.sqrt(np.cumsum((1.0 - 2.0 / math.pi) * p * (1.0 - p) / trials)[-1])
+    mean = 0.5 * float(np.cumsum(np.sqrt(2.0 * p * (1.0 - p) / (math.pi * trials)))[-1])
+    var = np.cumsum((1.0 - 2.0 / math.pi) * p * (1.0 - p) / trials)[-1]
+    return mean, 0.5 * math.sqrt(var)
 
 
 def gof_test(law: EmpiricalLaw, exact: np.ndarray, name: str = "gof") -> TestReport:
@@ -148,8 +143,8 @@ def estimate_independent_collision(
     """Empirical collision rate of two independent sampling streams."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    x = inverse_cdf_sample(p, rng.derive("x").uniforms(trials))
-    y = inverse_cdf_sample(q, rng.derive("y").uniforms(trials))
+    x = inverse_cdf(p.probs, rng.derive("x").uniforms(trials))
+    y = inverse_cdf(q.probs, rng.derive("y").uniforms(trials))
     return float(np.mean(x == y))
 
 
@@ -272,10 +267,8 @@ def run_lossless_suite(
 
     vanilla_law = law_of("vanilla")
     tv_vanilla = tv_to_exact(vanilla_law, exact)
-    # honest-sampling noise band: mean + 3 std of the TV statistic
-    noise_band = expected_sampling_tv(exact, trials) + 3.0 * expected_sampling_tv_std(
-        exact, trials
-    )
+    mean, std = sampling_tv_moments(exact, trials)
+    noise_band = mean + 3.0 * std  # honest-sampling noise band of the TV statistic
     threshold = TV_MARGIN * max(tv_vanilla, noise_band)
     calibration = f"vanilla_tv={tv_vanilla:.6f} noise_band={noise_band:.6f}"
 

@@ -3,9 +3,9 @@
 The step as the package composed it before ``couplers.mrs`` drew its
 residual from bare probability vectors: the positive part of p - q built
 as a :class:`Categorical` (``prob.residual_distribution``), then that law's
-inverse CDF (``couplers.inverse_cdf_sample``).  On two laws of one size,
-``couplers.mrs`` and its two vector functions must reproduce it outcome for
-outcome and bit for bit.
+inverse CDF (this module's own ``inverse_cdf_sample``).  On two laws of
+one size, ``couplers.mrs`` and its two vector functions must reproduce it
+outcome for outcome and bit for bit.
 """
 
 import numpy as np

@@ -15,8 +15,8 @@ import specjac.decoder as decoder_mod
 from specjac.cli import EXIT_OK, main
 from specjac.couplers import (
     MrsOutcome,
+    inverse_cdf,
     inverse_cdf_rows,
-    inverse_cdf_sample,
     mrs,
     mrs_accepts,
     mrs_joint_distribution,
@@ -91,7 +91,7 @@ def test_criterion_02_acceptance_rate_identity():
         for i, (p, q) in enumerate(pairs):
             rng = master.derive("mc", vocab, i)
             expected = 1.0 - tv_distance(p, q)
-            x = inverse_cdf_sample(q, rng.derive("draft").uniforms(trials))
+            x = inverse_cdf(q.probs, rng.derive("draft").uniforms(trials))
             u = rng.derive("accept").uniforms(trials)
             observed = int(mrs_accepts(u, p.probs[x], q.probs[x]).sum()) / trials
             sigma = math.sqrt(expected * (1.0 - expected) / trials)

@@ -338,6 +338,42 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
+class TestAtomicWriteTempFile:
+    """The temporary file of a write is the call's own: a file of another
+    name's shape neither blocks the write nor is removed by it."""
+
+    @staticmethod
+    def _pairs(out):
+        return main(["coupling-stats", "--pairs", "2", "--trials", "10", "--out", str(out)])
+
+    def test_leftover_pid_temp_file_is_neither_a_clash_nor_removed(self, tmp_path):
+        out = tmp_path / "pairs.csv"
+        leftover = tmp_path / f"pairs.csv.{os.getpid()}.tmp"
+        leftover.write_bytes(b"an interrupted run's\n")
+        assert self._pairs(out) == EXIT_OK
+        assert out.read_bytes().startswith(b"pair,")
+        assert leftover.read_bytes() == b"an interrupted run's\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.csv", leftover.name]
+
+    def test_name_clash_exits_3_and_keeps_the_clashing_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("secrets.token_hex", lambda nbytes: "clash")
+        out = tmp_path / "pairs.csv"
+        clash = tmp_path / f"pairs.csv.{os.getpid()}.clash.tmp"
+        clash.write_bytes(b"not ours\n")
+        assert self._pairs(out) == EXIT_IO
+        assert clash.read_bytes() == b"not ours\n"
+        assert [p.name for p in tmp_path.iterdir()] == [clash.name]
+
+    def test_output_mode_follows_the_umask(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        umask = os.umask(0o027)
+        try:
+            write_csv(str(out), ("k",), [(1,)])
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+
 class TestVerifyLossless:
     def test_desk_run_builds_each_target_law_row_once(self, tmp_path, monkeypatch):
         # the enumeration and every decode share one table: the uniform row

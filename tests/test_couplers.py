@@ -15,7 +15,6 @@ from specjac.couplers import (
     gumbel_from_uniform,
     inverse_cdf,
     inverse_cdf_rows,
-    inverse_cdf_sample,
     mrs,
     mrs_accepts,
     mrs_joint_distribution,
@@ -37,18 +36,18 @@ def _random_dist(rng: np.random.Generator, vocab: int, sharpness: float = 1.0):
 class TestInverseCdf:
     def test_threshold(self):
         d = Categorical([0.6, 0.4])
-        assert inverse_cdf_sample(d, 0.59) == 0
-        assert inverse_cdf_sample(d, 0.61) == 1
+        assert inverse_cdf(d.probs, 0.59) == 0
+        assert inverse_cdf(d.probs, 0.61) == 1
 
     def test_zero_probability_token_skipped(self):
         d = Categorical([0.5, 0.0, 0.5])
-        assert inverse_cdf_sample(d, 0.499) == 0
-        assert inverse_cdf_sample(d, 0.5) == 2
-        assert inverse_cdf_sample(d, 0.999) == 2
+        assert inverse_cdf(d.probs, 0.499) == 0
+        assert inverse_cdf(d.probs, 0.5) == 2
+        assert inverse_cdf(d.probs, 0.999) == 2
 
     def test_u_zero_returns_first_positive(self):
         d = Categorical([0.0, 1.0])
-        assert inverse_cdf_sample(d, 0.0) == 1
+        assert inverse_cdf(d.probs, 0.0) == 1
 
 
 class TestSampleIndependent:
@@ -307,7 +306,7 @@ class TestBatchedPrimitives:
         u = np.array([cdf[-1], np.nextafter(cdf[-1], 1.0), 0.0, 0.05])
         got = inverse_cdf_rows(dist.probs[None], cdf[None], np.zeros(4, dtype=np.int64), u)
         assert got.tolist() == [9, 9, 0, 0]
-        assert got.tolist() == [inverse_cdf_sample(dist, float(v)) for v in u]
+        assert got.tolist() == [inverse_cdf(dist.probs, float(v)) for v in u]
 
     def test_inverse_cdf_rows_never_draws_zero_probability_tokens(self):
         probs = np.array([[0.0, 0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0]])
@@ -318,7 +317,7 @@ class TestBatchedPrimitives:
             rows = np.full(u.size, row)
             tokens = inverse_cdf_rows(probs, cdf, rows, u)
             assert np.all(probs[row, tokens] > 0.0)
-            expected = [inverse_cdf_sample(Categorical(probs[row]), float(v)) for v in u]
+            expected = [inverse_cdf(Categorical(probs[row]).probs, float(v)) for v in u]
             assert tokens.tolist() == expected
 
     @settings(max_examples=300, deadline=None)
@@ -337,8 +336,8 @@ class TestBatchedPrimitives:
         if drift:
             probs *= 1.0 - 2.0**-50
         dist, u = Categorical._from_normalized(probs), np.array(u)
-        tokens = inverse_cdf_sample(dist, u)
-        assert tokens.tolist() == [inverse_cdf_sample(dist, float(v)) for v in u]
+        tokens = inverse_cdf(dist.probs, u)
+        assert tokens.tolist() == [inverse_cdf(dist.probs, float(v)) for v in u]
         rows = np.zeros(u.size, dtype=np.int64)
         by_rows = inverse_cdf_rows(probs[None], np.cumsum(probs)[None], rows, u)
         assert tokens.tolist() == by_rows.tolist()

@@ -170,7 +170,7 @@ class TestSjdEngine:
 
     def test_stall_guard_stops_a_verify_step_that_finalizes_nothing(self, monkeypatch):
         # stop 0 and no rejected slot: under the redraft convention no
-        # trial advances, so the guard must end the loop after 4n + 64 calls
+        # trial advances, so the guard must end the loop after 2n calls
         calls = []
 
         def stalled(sampler, out, tr, ps, wb, wj, width, *rest):
@@ -182,7 +182,7 @@ class TestSjdEngine:
         keys = trial_keys(RandomSource(1), 3)
         with pytest.raises(RuntimeError, match="^decode_trials failed to make progress$"):
             decode_trials(sampler, 5, keys, CouplerKind.MAXIMAL, 4, redraft=True)
-        assert calls == [3] * (4 * 5 + 64)
+        assert calls == [3] * (2 * 5)
 
 
 class TestCouplerOrderings:
