@@ -137,11 +137,11 @@ def decode_trials(
     empty = (np.empty((4, 0), np.int64), np.empty((2, 0), np.int64), np.empty(0))
     log = [empty] if stats else None
     for lo in range(0, len(keys), TRIAL_CHUNK):
-        chunk, part = keys[lo : lo + TRIAL_CHUNK], slice(lo, lo + TRIAL_CHUNK)
+        chunk, out = keys[lo : lo + TRIAL_CHUNK], tokens[lo : lo + TRIAL_CHUNK]
         if coupler is None:
-            tokens[part] = _vanilla_chunk(sampler, n, chunk)
+            _vanilla_chunk(sampler, n, chunk, out)
         else:
-            tokens[part] = _sjd_chunk(sampler, n, window, coupler, chunk, redraft, log, lo)
+            _sjd_chunk(sampler, n, window, coupler, chunk, redraft, log, lo, out)
     if log is None:
         return tokens, None
     if coupler is None:  # one model call per token, which it finalizes
@@ -156,27 +156,28 @@ def decode_trials(
     return tokens, DecodeStats(nfe, *steps[1:], betas[order], *spots[:, order])
 
 
-def _vanilla_chunk(sampler, n, keys):
+def _vanilla_chunk(sampler, n, keys, out):
     u = uniforms_at(derive_keys(keys, "vanilla", np.arange(n)[:, None]), 1)
-    out, trials = np.empty((len(keys), n), dtype=np.int64), np.arange(len(keys))
+    trials = np.arange(len(keys))
     for i in range(n):
         rows = sampler.rows(sampler.codes(out, trials, i))
         out[:, i] = inverse_cdf_rows(sampler.probs, sampler.cdf, rows, u[i])
-    return out
 
 
-def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
-    """Jacobi decoding of one chunk of trials in lockstep (shared iteration t).
-    With a ``log``, each iteration appends its statistics to it, naming the
-    chunk's trial i as the run's trial ``offset + i``.
+def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset, out):
+    """Jacobi decoding of one chunk of trials in lockstep (shared iteration t)
+    into the chunk's token matrix ``out``.  With a ``log``, each iteration
+    appends its statistics to it, naming trial i as the run's ``offset + i``.
 
-    Slot state lives at (trial, position), where the tokens are: ``out``
-    holds finalized tokens, then current drafts; ``drow``, ``prow`` and
-    ``ptok`` hold a slot's draft-law row, previous draft-law row (-1: none,
-    not re-drafted) and previous draft token.  A window is the flat list of
-    slots ``start[i] + j``, j < width, of trial ``live[i]``: sliding it moves
-    nothing, and finished trials leave ``live``.  A slot still on the uniform
-    initializer's row (never a model row) has not been in a window: fresh.
+    Slot state lives at (trial, position), where the tokens are: ``out`` holds
+    finalized tokens, then current drafts; ``drow`` and ``prow`` hold a slot's
+    draft-law row and previous draft-law row (-1: none, not re-drafted).
+    Until :func:`_draft` writes, a re-drafted slot's ``out`` entry is its
+    previous draft: :func:`_verify` writes only scan-stop slots, which are
+    never re-drafted.  A window is the flat list of slots ``start[i] + j``,
+    j < width, of trial ``live[i]``: sliding it moves nothing, and finished
+    trials leave ``live``.  A slot still on the uniform initializer's row
+    (never a model row) is fresh: it has not been in a window.
 
     Each iteration draws every slot's draft uniforms 1, 2 and verify uniform
     1 in one ``uniforms_at`` call.  :func:`_draft`, the one per-coupler
@@ -186,9 +187,8 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
     """
     count, uniform = len(keys), sampler.UNIFORM_ROW
     live, start = np.arange(count), np.zeros(count, np.int64)
-    drow, prow, ptok = np.full((3, count, n), np.reshape([uniform, -1, 0], (3, 1, 1)), np.int64)
+    drow, prow = np.full((2, count, n), np.reshape([uniform, -1], (2, 1, 1)), np.int64)
     keyring = np.stack([derive_keys(keys, label) for label in ("draft", "verify", "gumbel")], 1)
-    out = np.empty((count, n), dtype=np.int64)
 
     t = 0
     while len(live):
@@ -199,11 +199,11 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
         wb = np.repeat(np.arange(len(live)), width)
         wj = np.arange(len(wb)) - first[wb]
         tr, ps = live[wb], start[wb] + wj
-        dkeys, vkeys = derive_keys(keyring[wb, :2], t, ps[:, None]).T
+        dkeys, vkeys = derive_keys(keyring[tr, :2], t, ps[:, None]).T
         u = uniforms_at(np.stack([dkeys, dkeys, vkeys]), [[1], [2], [1]])
-        dr, pr = drow[tr, ps], prow[tr, ps]
+        dr, pr, prev = drow[tr, ps], prow[tr, ps], out[tr, ps]
         fresh, redo = dr == uniform, pr >= 0
-        _draft(sampler, coupler, out, tr, ps, dr, pr, ptok, fresh, redo, u[:2], keyring[wb, 2])
+        _draft(sampler, coupler, out, tr, ps, dr, pr, prev, fresh, redo, u[:2], keyring[tr, 2])
         tok = out[tr, ps]
         ev = sampler.rows(sampler.codes(out, tr, ps))
         stop, x = _verify(sampler, out, tr, ps, wb, wj, width, first, u[2], vkeys, dr, tok, ev)
@@ -216,43 +216,42 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset):
             done = stop + (stop < width)
         if log is not None:
             seen, probs = ~fresh, sampler.probs
-            changed, compared = record_hamming(tok, ptok[tr, ps], redo, wb, len(live))
+            changed, compared = record_hamming(tok, prev, redo, wb, len(live))
             log.append((np.stack([offset + live, done, changed, compared]),
                         np.stack([offset + tr[seen], ps[seen]]),
                         record_beta(probs[ev[seen]], probs[dr[seen]])))
 
         # Slide: survivors past the scan stop carry the new evaluation as
-        # their draft law and their current draft as previous data.
+        # their draft law; their draft stays in ``out`` as the previous one.
         slide = wj > stop[wb]
         at = tr[slide], ps[slide]
-        ptok[at], prow[at], drow[at] = tok[slide], dr[slide], ev[slide]
+        prow[at], drow[at] = dr[slide], ev[slide]
         start = start + done
         keep = start < n
-        live, start, keyring = live[keep], start[keep], keyring[keep]
+        live, start = live[keep], start[keep]
         t += 1
-    return out
 
 
-def _draft(sampler, coupler, out, tr, ps, rows, prev_rows, ptok, fresh, redo, u, gumbel_keys):
+def _draft(sampler, coupler, out, tr, ps, rows, prev_rows, prev, fresh, redo, u, gumbel_keys):
     """Write every window slot's new draft to ``out``: the engine's only
     per-coupler code.  Slot i is (``tr[i]``, ``ps[i]``), its draft law row
-    ``rows[i]``.  Fresh slots draw independently from the uniform
-    initializer; surviving slots (``redo``) re-draw through the coupler;
-    redraft carry-overs (neither) keep their verify-produced token.  Rows 0
+    ``rows[i]``.  Fresh slots draw by inverse CDF, and so do surviving slots
+    (``redo``) under the independent coupler; the other couplers re-draw a
+    survivor from its previous draft ``prev[i]`` (law ``prev_rows[i]``).
+    Redraft carry-overs (neither) keep their verify-produced token.  Rows 0
     and 1 of ``u`` are the slots' draft uniforms 1 and 2; a slot's Gumbel
     noise is uniforms 1..V of ``derive_keys(gumbel_key, pos)``."""
     probs = sampler.probs
-    out[tr[fresh], ps[fresh]] = inverse_cdf_rows(probs, sampler.cdf, rows[fresh], u[0, fresh])
+    new = fresh | redo if coupler is CouplerKind.INDEPENDENT else fresh
+    out[tr[new], ps[new]] = inverse_cdf_rows(probs, sampler.cdf, rows[new], u[0, new])
     at, rows, u = (tr[redo], ps[redo]), rows[redo], u[:, redo]
-    if coupler is CouplerKind.INDEPENDENT:
-        out[at] = inverse_cdf_rows(probs, sampler.cdf, rows, u[0])
-    elif coupler is CouplerKind.GUMBEL:
+    if coupler is CouplerKind.GUMBEL:
         slot_keys = derive_keys(gumbel_keys[redo], at[1])[:, None]
         noise = gumbel_from_uniform(uniforms_at(slot_keys, np.arange(1, probs.shape[1] + 1)))
         out[at] = gumbel_argmax(probs[rows], noise)
-    else:  # maximal: modified rejection sampling of the previous draft;
-        # rejected slots draw their residual row-wise on the second uniform
-        prev_rows, drafts = prev_rows[redo], ptok[at]
+    elif coupler is CouplerKind.MAXIMAL:  # modified rejection sampling of the
+        # previous draft; rejected slots draw their residual row-wise on uniform 2
+        prev_rows, drafts = prev_rows[redo], prev[redo]
         reject = ~mrs_accepts(u[0], probs[rows, drafts], probs[prev_rows, drafts])
         drafts[reject] = mrs_residual_rows(probs, rows[reject], prev_rows[reject], u[1, reject])
         out[at] = drafts

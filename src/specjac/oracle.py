@@ -125,8 +125,8 @@ def gof_test(law: EmpiricalLaw, exact: np.ndarray, name: str = "gof") -> TestRep
 
 
 # ---------------------------------------------------------------------------
-# Coupler-level Monte Carlo estimators: the couplers' own inverse CDF,
-# Gumbel noise and accept test, applied to whole arrays of draws.
+# Coupler-level Monte Carlo estimators: the couplers' own inverse CDF and
+# Gumbel noise, applied to whole arrays of draws.
 # ---------------------------------------------------------------------------
 
 # Gumbel noise entries drawn and reduced at a time (128 KB of float64): a

@@ -184,6 +184,34 @@ class TestSjdEngine:
             decode_trials(sampler, 5, keys, CouplerKind.MAXIMAL, 4, redraft=True)
         assert calls == [3] * (2 * 5)
 
+    @pytest.mark.parametrize("coupler", list(CouplerKind))
+    @pytest.mark.parametrize("redraft", [False, True])
+    @pytest.mark.parametrize("spec, n, window", [(SPEC, 7, 4), (FLAT_SPEC, 24, 6)])
+    def test_redrawn_slot_reads_its_last_iteration_draft(
+        self, spec, n, window, coupler, redraft, monkeypatch
+    ):
+        # the engine keeps no copy of a slot's previous draft: it reads it
+        # from the token matrix before drafting, so every re-drawn slot's
+        # ``prev`` must be the token that slot was drafted one iteration before
+        monkeypatch.setattr(decoder_mod, "TRIAL_CHUNK", 3)
+        drafted, checked = {}, [0]  # chunk -> {(trial, position): last iteration's draft}
+        draft = decoder_mod._draft
+
+        def spy(sampler, coupler, out, tr, ps, rows, prev_rows, prev, fresh, redo, u, gkeys):
+            draft(sampler, coupler, out, tr, ps, rows, prev_rows, prev, fresh, redo, u, gkeys)
+            last = drafted.get(out.ctypes.data, {})  # chunks own disjoint rows of one matrix
+            for slot in np.flatnonzero(redo).tolist():
+                assert last[tr[slot], ps[slot]] == prev[slot]
+            checked[0] += int(redo.sum())
+            slots = zip(tr.tolist(), ps.tolist())
+            drafted[out.ctypes.data] = dict(zip(slots, out[tr, ps].tolist()))
+
+        monkeypatch.setattr(decoder_mod, "_draft", spy)
+        sampler = TargetSampler(TabularModel(spec), SamplingParams())
+        keys = trial_keys(RandomSource(n + window), 7)  # chunks of 3, 3 and 1
+        decode_trials(sampler, n, keys, coupler, window, redraft, stats=False)
+        assert len(drafted) == 3 and checked[0] > 0
+
 
 class TestCouplerOrderings:
     def test_maximal_stabilizes_drafts_vs_independent(self):
