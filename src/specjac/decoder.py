@@ -60,10 +60,11 @@ class DecodeStats:
 
     def mean_hamming(self) -> list[float | None]:
         """Per trial: mean draft tokens changed over the iterations with a
-        previous draft, None without one (sums of small counts are exact)."""
-        trial, seen = np.repeat(np.arange(len(self.nfe)), self.nfe), self.compared > 0
-        counts = np.bincount(trial, seen, len(self.nfe)).tolist()
-        sums = np.bincount(trial, np.where(seen, self.changed, 0), len(self.nfe)).tolist()
+        previous draft, None without one.  ``changed`` is 0 wherever ``compared``
+        is 0, so it sums unmasked (sums of small counts are exact)."""
+        trial = np.repeat(np.arange(len(self.nfe)), self.nfe)
+        counts = np.bincount(trial, self.compared > 0, len(self.nfe)).tolist()
+        sums = np.bincount(trial, self.changed, len(self.nfe)).tolist()
         return [s / c if c else None for s, c in zip(sums, counts)]
 
     def mean_beta(self) -> list[float | None]:
@@ -115,7 +116,8 @@ def decode_trials(
     None selects vanilla decoding; otherwise speculative Jacobi decoding
     with that draft coupler and ``window``.  Returns the (trials, n) token
     matrix and, when ``stats`` is true, the run's :class:`DecodeStats` (else
-    None).  Trials run in chunks of ``TRIAL_CHUNK``.
+    None).  Trials run in chunks of ``TRIAL_CHUNK``, and each chunk's function
+    logs its statistics as it decodes; this function only sorts the log.
 
     ``redraft`` selects the rejection convention: by default the residual
     token drawn at the first rejection is finalized and the window advances
@@ -132,22 +134,19 @@ def decode_trials(
         raise ValueError("window must be >= 1")
     keys = np.asarray(keys, dtype=np.uint64)
     tokens = np.empty((len(keys), n), dtype=np.int64)
-    # per iteration: (trial, finalized, changed, compared) rows, the (trial,
-    # position) of each beta, and the betas; trial ids count across chunks
+    # per model call: (trial, finalized, changed, compared) rows, the (trial,
+    # position) of each beta, and the betas; trial ids count across chunks,
+    # and the first entry is empty
     empty = (np.empty((4, 0), np.int64), np.empty((2, 0), np.int64), np.empty(0))
     log = [empty] if stats else None
     for lo in range(0, len(keys), TRIAL_CHUNK):
         chunk, out = keys[lo : lo + TRIAL_CHUNK], tokens[lo : lo + TRIAL_CHUNK]
         if coupler is None:
-            _vanilla_chunk(sampler, n, chunk, out)
+            _vanilla_chunk(sampler, n, chunk, log, lo, out)
         else:
             _sjd_chunk(sampler, n, window, coupler, chunk, redraft, log, lo, out)
     if log is None:
         return tokens, None
-    if coupler is None:  # one model call per token, which it finalizes
-        steps = np.zeros((4, len(keys) * n), np.int64)
-        steps[0], steps[1] = np.repeat(np.arange(len(keys)), n), 1
-        log.append((steps, *empty[1:]))
     # trial-major: stable sorts keep each trial's entries in log order
     steps, spots, betas = (np.concatenate(part, axis=-1) for part in zip(*log))
     steps = steps[:, np.argsort(steps[0], kind="stable")]
@@ -156,12 +155,18 @@ def decode_trials(
     return tokens, DecodeStats(nfe, *steps[1:], betas[order], *spots[:, order])
 
 
-def _vanilla_chunk(sampler, n, keys, out):
+def _vanilla_chunk(sampler, n, keys, log, offset, out):
+    """Vanilla decoding of one chunk into its token matrix ``out``.  With a
+    ``log``, each model call appends a row per trial ``offset + i``, as in
+    :func:`_sjd_chunk`: one token finalized, no slot compared, no beta."""
     u = uniforms_at(derive_keys(keys, "vanilla", np.arange(n)[:, None]), 1)
     trials = np.arange(len(keys))
+    step = np.stack(np.broadcast_arrays(offset + trials, 1, 0, 0))
     for i in range(n):
         rows = sampler.rows(sampler.codes(out, trials, i))
         out[:, i] = inverse_cdf_rows(sampler.probs, sampler.cdf, rows, u[i])
+        if log is not None:
+            log.append((step, *log[0][1:]))  # no beta: the log's empty entry
 
 
 def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset, out):

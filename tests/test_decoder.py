@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specjac.decoder as decoder_mod
+from reference_decoder import reference_decode
 from specjac.cli import _aggregate
 from specjac.couplers import inverse_cdf_rows, mrs
 from specjac.decoder import (
@@ -232,7 +233,8 @@ class TestCouplerOrderings:
 
 
 class TestLockstepBatch:
-    """The engine over B keys returns, per trial, exactly its one-key call."""
+    """The engine over B keys returns, per trial, exactly its one-key call
+    and the reference decoder's tokens, NFE and statistics rows."""
 
     CASES = {
         "V4-topk3": (SPEC, SamplingParams(top_k=3), 7, 4),
@@ -260,7 +262,13 @@ class TestLockstepBatch:
             )
             assert tokens[i].tolist() == one_tokens[0].tolist()
             # nfe, every (iteration) entry, betas and their positions, in order
-            assert _trial(stats, i) == _trial(one_stats, 0)
+            mine = _trial(stats, i)
+            assert mine == _trial(one_stats, 0)
+            # the one-trial reference decoder, slot by slot, agrees
+            rows = list(zip(*(mine[c] for c in ("finalized", "changed", "compared"))))
+            assert reference_decode(sampler, n, int(keys[i]), coupler, window, redraft) == (
+                tokens[i].tolist(), mine["nfe"], rows
+            )
         if coupler is not None:
             # trials leave the lockstep at different iterations
             assert len(set(stats.nfe.tolist())) > 1
