@@ -164,7 +164,7 @@ def _vanilla_chunk(sampler, n, keys, log, offset, out):
     step = np.stack(np.broadcast_arrays(offset + trials, 1, 0, 0))
     for i in range(n):
         rows = sampler.rows(sampler.codes(out, trials, i))
-        out[:, i] = inverse_cdf_rows(sampler.probs, sampler.cdf, rows, u[i])
+        out[:, i] = inverse_cdf_rows(sampler.probs, sampler.cdf_of(rows), rows, u[i])
         if log is not None:
             log.append((step, *log[0][1:]))  # no beta: the log's empty entry
 
@@ -248,7 +248,8 @@ def _draft(sampler, coupler, out, tr, ps, rows, prev_rows, prev, fresh, redo, u,
     noise is uniforms 1..V of ``derive_keys(gumbel_key, pos)``."""
     probs = sampler.probs
     new = fresh | redo if coupler is CouplerKind.INDEPENDENT else fresh
-    out[tr[new], ps[new]] = inverse_cdf_rows(probs, sampler.cdf, rows[new], u[0, new])
+    drawn = rows[new]
+    out[tr[new], ps[new]] = inverse_cdf_rows(probs, sampler.cdf_of(drawn), drawn, u[0, new])
     at, rows, u = (tr[redo], ps[redo]), rows[redo], u[:, redo]
     if coupler is CouplerKind.GUMBEL:
         slot_keys = derive_keys(gumbel_keys[redo], at[1])[:, None]

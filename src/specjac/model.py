@@ -123,10 +123,13 @@ class TargetSampler:
     of a context (the last ``context_order`` tokens, BOS-padded) is its
     base-(V+1) number, digit 0 for BOS and digit t + 1 for token t, and
     ``codes`` reads the codes of many positions of a token matrix at once.
-    ``rows`` maps codes to rows of ``probs`` / ``cdf`` through one
-    sorted-code lookup; rows are built on first use, all missing rows of a
-    call in one bulk build.  A lookup may replace ``probs`` and ``cdf`` with
-    larger tables, so read them after ``rows``.
+    ``rows`` maps codes to rows of ``probs`` through one sorted-code
+    lookup; rows are built on first use, all missing rows of a call in one
+    bulk build.  A lookup may replace ``probs`` with a larger table, so read
+    it after ``rows``.  A row's CDF (cumulative sums) is taken only when an
+    inverse-CDF draw first reads the row: ``cdf_of``, the one reader of the
+    CDF table, then sums every row built since its last sum.  Coupled
+    drafts (maximal, Gumbel) draw by inverse CDF from the uniform row alone.
     Row ``UNIFORM_ROW`` is the uniform law (the Jacobi draft initializer).
     One table serves every trial of a model and sampling configuration.
     """
@@ -141,21 +144,36 @@ class TargetSampler:
         self._place = self._base ** np.arange(model.spec.context_order, dtype=np.int64)[::-1]
         # sorted codes of built rows, closed by a sentinel above every code; the row of each
         self._codes, self._code_rows = np.array([np.iinfo(np.int64).max]), np.array([-1])
-        self.probs, self.cdf = np.empty((2, 256, model.vocab_size))
-        self._rows = 0
+        self.probs, self._cdf = np.empty((256, model.vocab_size)), np.empty((0, model.vocab_size))
+        self._rows = self._cdf_rows = 0  # rows built; rows summed (a prefix)
         self._add_rows(Categorical.uniform(model.vocab_size).probs[None])
 
     def _add_rows(self, block: np.ndarray) -> range:
         used = self._rows
         new = range(used, used + len(block))
         if new.stop > len(self.probs):  # full: at least double, one copy of the used rows
-            grown = np.empty((2, max(2 * len(self.probs), new.stop), self.model.vocab_size))
-            grown[0, :used], grown[1, :used] = self.probs[:used], self.cdf[:used]
-            self.probs, self.cdf = grown
+            grown = np.empty((max(2 * len(self.probs), new.stop), self.model.vocab_size))
+            grown[:used] = self.probs[:used]
+            self.probs = grown
         self.probs[new.start : new.stop] = block
-        np.cumsum(block, axis=1, out=self.cdf[new.start : new.stop])
         self._rows = new.stop
         return new
+
+    def cdf_of(self, rows: np.ndarray) -> np.ndarray:
+        """The CDF table, row i the cumulative sums of ``probs[i]``, with
+        every row of ``rows`` summed.  The rows below ``_cdf_rows`` are
+        summed, the rest are unset memory: a row at or past it sums every
+        row built since in one ``cumsum``, after growing the table to the
+        size of ``probs``."""
+        summed, used = self._cdf_rows, self._rows
+        if summed < used and len(rows) and rows.max() >= summed:
+            if used > len(self._cdf):
+                grown = np.empty_like(self.probs)
+                grown[:summed] = self._cdf[:summed]
+                self._cdf = grown
+            np.cumsum(self.probs[summed:used], axis=1, out=self._cdf[summed:used])
+            self._cdf_rows = used
+        return self._cdf
 
     def _digits(self, codes: np.ndarray) -> np.ndarray:
         """``(..., context_order)`` digits of each code, most significant first."""

@@ -1,7 +1,8 @@
 """Every function and public method under ``src/specjac`` has a caller there,
 every module constant is loaded there, every name a module imports is used
-in it, the package exports only names that some module loads, and the
-decode engine names a coupler in one function, ``decoder._draft``.
+in it, the package exports only names that some module loads, the
+decode engine names a coupler in one function, ``decoder._draft``, and
+only ``model`` reads the CDF table of a ``TargetSampler`` by attribute.
 
 A helper that only tests call belongs under ``tests/``, not in the package;
 a one-law convenience that only tests and the tracer call stays in its own
@@ -204,3 +205,23 @@ def _per_coupler_functions(tree: ast.Module) -> list[str]:
 def test_draft_is_the_engines_one_per_coupler_function(extra, functions):
     tree = ast.parse(f"{DECODER.read_text()}\n{extra}\n")
     assert _per_coupler_functions(tree) == functions
+
+
+def _cdf_table_readers(trees: dict[str, ast.Module]) -> list[str]:
+    """The modules of ``trees`` other than ``specjac.model`` that read a
+    ``TargetSampler``'s CDF table attribute ``_cdf`` directly.  Its rows at
+    and past ``_cdf_rows`` are unsummed ``np.empty`` memory, which would draw
+    wrong tokens silently; ``TargetSampler.cdf_of`` sums a row before it is
+    read."""
+    return [
+        module for module, tree in trees.items() if module != "specjac.model"
+        if any(isinstance(node, ast.Attribute) and node.attr == "_cdf" for node in ast.walk(tree))
+    ]
+
+
+@pytest.mark.parametrize("extra, readers", [
+    ("", []),
+    ("sampler._cdf[rows]", [f"specjac.{path.stem}" for path in MODULES if path.stem != "model"]),
+])
+def test_only_the_model_reads_the_cdf_table(extra, readers):
+    assert _cdf_table_readers(_trees(extra)) == readers

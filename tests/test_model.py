@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specjac.decoder import CouplerKind, decode_trials
+from specjac.decoder import CouplerKind, decode_trials, trial_keys
 from specjac.errors import BudgetError
 from specjac.model import (
     ModelSpec,
@@ -262,9 +262,11 @@ class TestContextCodes:
         if cfg_scale:
             logits = mix_cfg(logits, model.logit_rows(contexts, uncond=True), cfg_scale)
         expected = apply_processors(logits, 1.0, None, None).probs
-        for row, law in zip(sampler.rows(codes).tolist(), expected):
+        rows = sampler.rows(codes)
+        cdf = sampler.cdf_of(rows)
+        for row, law in zip(rows.tolist(), expected):
             assert sampler.probs[row].tobytes() == law.tobytes()
-            assert sampler.cdf[row].tobytes() == np.cumsum(law).tobytes()
+            assert cdf[row].tobytes() == np.cumsum(law).tobytes()
 
 
 def _one_law_processors(values, temperature, top_k, top_p):
@@ -315,10 +317,13 @@ class TestBulkBuild:
         bulk, single = (TargetSampler(TabularModel(spec), sampling) for _ in range(2))
         ids = [_code(bulk, prefix) for prefix in prefixes]
         assert [_code(single, prefix) for prefix in prefixes] == ids
-        for cid, row in zip(ids, bulk.rows(np.array(ids)).tolist()):
-            one = single.rows(np.array([cid]))[0]
-            assert bulk.probs[row].tobytes() == single.probs[one].tobytes()
-            assert bulk.cdf[row].tobytes() == single.cdf[one].tobytes()
+        # the bulk table sums its rows in one call, the single one row by row
+        rows = bulk.rows(np.array(ids))
+        bulk_cdf = bulk.cdf_of(rows)
+        for cid, row in zip(ids, rows.tolist()):
+            one = single.rows(np.array([cid]))
+            assert bulk.probs[row].tobytes() == single.probs[one[0]].tobytes()
+            assert bulk_cdf[row].tobytes() == single.cdf_of(one)[one[0]].tobytes()
         # stored logits: the scalar stream of each context, as before batching
         model = bulk.model
         root = RandomSource(seed).derive("logit-table")
@@ -379,6 +384,54 @@ class TestBulkBuild:
             ids = np.array([_code(sampler, [token]) for token in range(3)])
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
                 sampler.rows(ids)
+
+
+class TestCdfOnRead:
+    """``TargetSampler`` builds ``probs`` rows only; ``cdf_of`` sums a row's
+    CDF when a draw first reads it."""
+
+    FLAT = ModelSpec(vocab_size=16, context_order=2, flatness=4.0, seed=5)
+
+    @pytest.mark.parametrize("coupler", [CouplerKind.MAXIMAL, CouplerKind.GUMBEL])
+    def test_coupled_drafts_sum_only_the_uniform_row(self, coupler):
+        sampler = TargetSampler(TabularModel(self.FLAT), SamplingParams())
+        decode_trials(sampler, 64, trial_keys(RandomSource(3), 100), coupler, 16)
+        assert sampler._cdf_rows == 1 and sampler._rows >= 200
+        uniform = sampler.probs[TargetSampler.UNIFORM_ROW]
+        assert sampler._cdf[TargetSampler.UNIFORM_ROW].tobytes() == np.cumsum(uniform).tobytes()
+
+    @pytest.mark.parametrize("coupler", [None, CouplerKind.INDEPENDENT])
+    def test_every_row_a_draw_reads_is_its_cumsum(self, coupler, monkeypatch):
+        sampler = TargetSampler(TabularModel(self.FLAT), SamplingParams())
+        cdf_of, sizes, read = sampler.cdf_of, [], []
+
+        def checked(rows):
+            table = cdf_of(rows)
+            for row in np.unique(rows).tolist():
+                assert table[row].tobytes() == np.cumsum(sampler.probs[row]).tobytes()
+            sizes.append(len(table))
+            read.append(rows.copy())
+            return table
+
+        monkeypatch.setattr(sampler, "cdf_of", checked)
+        decode_trials(sampler, 64, trial_keys(RandomSource(3), 100), coupler, 16)
+        # rows past the first 256 are summed into a grown table, and the rows
+        # summed before it grew keep their bytes
+        read = np.unique(np.concatenate(read))
+        assert sizes[0] == 256 and max(sizes) > 256 and read.max() >= 256
+        for row in read.tolist():
+            assert sampler._cdf[row].tobytes() == np.cumsum(sampler.probs[row]).tobytes()
+
+    def test_a_read_of_summed_rows_sums_nothing(self):
+        sampler = TargetSampler(TabularModel(self.FLAT), SamplingParams())
+        first = sampler.rows(np.arange(1, 9))
+        table = sampler.cdf_of(first)
+        summed = sampler._cdf_rows
+        assert summed == sampler._rows == 9
+        later = sampler.rows(np.arange(20, 40))
+        for rows in (first, np.array([TargetSampler.UNIFORM_ROW]), np.empty(0, np.int64)):
+            assert sampler.cdf_of(rows) is table and sampler._cdf_rows == summed
+        assert sampler.cdf_of(later[:1]) is table and sampler._cdf_rows == sampler._rows == 29
 
 
 class TestSequenceCodes:
