@@ -187,7 +187,7 @@ def _sjd_chunk(sampler, n, window, coupler, keys, redraft, log, offset, out):
     Each iteration draws every slot's draft uniforms 1, 2 and verify uniform
     1 in one ``uniforms_at`` call.  :func:`_draft`, the one per-coupler
     function, takes the draft uniforms; :func:`_verify` takes verify
-    uniform 1 and draws the verify residual's uniform 2.  Between the two,
+    uniform 1 and draws the rejected slots' verify uniform 2.  Between the two,
     the window is evaluated in one model call per trial.
     """
     count, uniform = len(keys), sampler.UNIFORM_ROW
@@ -273,9 +273,12 @@ def _verify(sampler, out, tr, ps, wb, wj, width, first, u, keys, rows, tokens, e
     flat indices of the rejected slots.
 
     Each rejected slot's residual goes to ``out``: one scalar :func:`mrs`
-    call each on the slot's own stream ``keys[i]`` (its first draw repeats
-    the vectorised accept test), each distinct row wrapped as a
-    :class:`Categorical` once per call and shared.  The maximal redraft's
+    call each on the slot's own stream ``keys[i]``, each distinct row
+    wrapped as a :class:`Categorical` once per call and shared.  The
+    stream's two uniforms are handed over, not drawn again in Python
+    (:meth:`RandomSource._from_draws`): uniform 1 is ``u[i]``, which the
+    vectorised accept test read, and uniform 2 comes from one
+    ``uniforms_at`` call over the rejected slots.  The maximal redraft's
     residuals are row-wise (:func:`_draft`); this call stays scalar because
     mutation checks of the losslessness gate (acceptance criterion 11, the
     benchmark's self-test) patch ``decoder.mrs`` with a scalar signature."""
@@ -284,11 +287,13 @@ def _verify(sampler, out, tr, ps, wb, wj, width, first, u, keys, rows, tokens, e
     stop = width.copy()
     np.minimum.at(stop, wb[reject], wj[reject])
     x = (first + stop)[stop < width]
-    p_rows, q_rows = evals[x].tolist(), rows[x].tolist()
+    p_rows, q_rows, kx = evals[x].tolist(), rows[x].tolist(), keys[x]
     law = {row: sampler.categorical(row) for row in {*p_rows, *q_rows}}
+    from_draws = RandomSource._from_draws
     out[tr[x], ps[x]] = np.array([
-        mrs(law[p], law[q], token, RandomSource.from_key(k)).token
-        for p, q, token, k in zip(p_rows, q_rows, tokens[x].tolist(), keys[x].tolist())
+        mrs(law[p], law[q], token, from_draws(k, draws)).token
+        for p, q, token, k, draws in zip(p_rows, q_rows, tokens[x].tolist(), kx.tolist(),
+                                         zip(u[x].tolist(), uniforms_at(kx, 2).tolist()))
     ], dtype=np.int64)
     return stop, x
 

@@ -49,13 +49,18 @@ class RandomSource:
     A source is single-owner: callers that need parallel or order-independent
     randomness derive child sources with distinct keys instead of sharing one
     stream.
+
+    Scalar draws are SplitMix64 in Python, except the first draws of a
+    source made by :meth:`_from_draws`: the decoder's verify step computes
+    a rejecting slot's two uniforms in its vectorised draws (``uniforms_at``)
+    and hands them over instead.
     """
 
-    __slots__ = ("_key", "_count")
+    __slots__ = ("_key", "_count", "_given")
 
     def __init__(self, seed: int):
         self._key = _mix(_mix(seed & _MASK) ^ _GOLDEN)
-        self._count = 0
+        self._count, self._given = 0, ()
 
     @property
     def key(self) -> int:
@@ -81,12 +86,25 @@ class RandomSource:
     def from_key(cls, key: int) -> "RandomSource":
         """The source whose stream key is ``key``, with no draws consumed."""
         source = cls.__new__(cls)
-        source._key, source._count = key & _MASK, 0
+        source._key, source._count, source._given = key & _MASK, 0, ()
+        return source
+
+    @classmethod
+    def _from_draws(cls, key: int, draws: tuple[float, ...]) -> "RandomSource":
+        """:meth:`from_key`, with the stream's first ``len(draws)`` scalar
+        draws already computed (internal fast path).  The caller guarantees
+        that ``draws[i]`` equals draw i + 1 of the stream, bit for bit (as
+        ``uniforms_at(key, i + 1)`` computes it); the source then behaves
+        exactly as ``from_key(key)``."""
+        source = cls.__new__(cls)
+        source._key, source._count, source._given = key & _MASK, 0, draws
         return source
 
     def draw_uniform01(self) -> float:
         """One uniform draw in [0, 1) with 53-bit resolution."""
         self._count += 1
+        if self._count <= len(self._given):
+            return self._given[self._count - 1]
         z = _mix((self._key + self._count * _GOLDEN) & _MASK)
         return (z >> 11) * _INV53
 
@@ -178,9 +196,12 @@ def _draws(z: np.ndarray, scratch: np.ndarray | None = None,
            out: np.ndarray | None = None) -> np.ndarray:
     """Uniforms in [0, 1) of the states ``z`` (key + counter * golden), a
     fresh array mixed in place; ``scratch`` goes to :func:`_mix_array`, and
-    the uniforms to ``out`` (a new array if None)."""
+    the uniforms to ``out`` (a new array if None).  The shifted states are
+    below 2**53, so they convert exactly through an int64 view, whose loop
+    numpy runs faster than uint64's."""
     z = _mix_array(z, scratch)
     z >>= np.uint64(11)
+    z = z.view(np.int64)
     if out is None:
         out = z.astype(np.float64)
     else:

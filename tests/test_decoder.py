@@ -1,5 +1,6 @@
 """Decode engines: progress, determinism, greedy agreement, stats recording."""
 
+import copy
 import dataclasses
 import hashlib
 import math
@@ -362,6 +363,28 @@ class TestVerifySeamDigest:
             for coupler, redraft in self.VARIANTS:
                 decode_trials(sampler, n, keys, coupler, window, redraft, stats=False)
         assert (calls[0], digest.hexdigest()) == (self.CALLS, self.DIGEST)
+
+    def test_sources_carry_their_streams_draws(self, monkeypatch):
+        # the verify step hands each call its stream's first two draws; a
+        # copy taken before mrs draws must replay the stream from its key
+        monkeypatch.setattr(decoder_mod, "TRIAL_CHUNK", 4)
+        calls = [0]
+
+        def recorder(p, q, x, rng):
+            replay, stream = copy.copy(rng), RandomSource.from_key(rng.key)
+            got, want = ([s.draw_uniform01() for _ in range(2)] for s in (replay, stream))
+            assert got == want, f"stream {rng.key}: handed draws {got}, the stream's {want}"
+            assert len(rng._given) == 2, f"stream {rng.key}: {len(rng._given)} draws handed"
+            calls[0] += 1
+            return mrs(p, q, x, rng)
+
+        monkeypatch.setattr(decoder_mod, "mrs", recorder)
+        for spec, n, window, trials in self.GRID:
+            sampler = TargetSampler(TabularModel(spec), SamplingParams())
+            keys = trial_keys(RandomSource(n + window), trials)
+            for coupler, redraft in self.VARIANTS:
+                decode_trials(sampler, n, keys, coupler, window, redraft, stats=False)
+        assert calls[0] == self.CALLS
 
 
 def _assert_list_means(stats, n):

@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from specjac.rng import NORMAL_BOUND, RandomSource, derive_keys, normals_of, uniforms_at
+from specjac.rng import (
+    _GOLDEN, _MASK, _MIX1, _MIX2, NORMAL_BOUND, RandomSource, derive_keys, normals_of, uniforms_at,
+)
 
 
 def test_same_seed_same_stream():
@@ -137,6 +139,80 @@ class TestBatchedKeys:
     def test_from_key_round_trips(self):
         child = RandomSource(3).derive("a", 1)
         assert RandomSource.from_key(child.key).uniforms(3).tolist() == child.uniforms(3).tolist()
+
+
+class TestFromDraws:
+    """A source handed its first draws behaves as the stream it claims."""
+
+    KEYS = TestBatchedKeys.KEYS
+
+    def _handed(self, key):
+        return RandomSource._from_draws(key, tuple(uniforms_at(key, [1, 2]).tolist()))
+
+    def test_first_draws_then_the_stream(self):
+        for key in self.KEYS:
+            handed, stream = self._handed(key), RandomSource.from_key(key)
+            got = [handed.draw_uniform01() for _ in range(4)]
+            assert got == [stream.draw_uniform01() for _ in range(4)], key
+            assert got[2:] == uniforms_at(key, [3, 4]).tolist()
+
+    def test_handed_draws_are_returned_not_recomputed(self):
+        # off the contract, to see the mechanism: draws come from the
+        # tuple while it lasts, then from the stream at the next counter
+        handed = RandomSource._from_draws(7, (0.25, 0.75))
+        got = [handed.draw_uniform01() for _ in range(3)]
+        assert got == [0.25, 0.75, *uniforms_at(7, 3).tolist()]
+
+    @pytest.mark.parametrize("drawn", [1, 2])
+    def test_uniforms_continue_after_handed_draws(self, drawn):
+        for key in self.KEYS:
+            handed, stream = self._handed(key), RandomSource.from_key(key)
+            for _ in range(drawn):
+                handed.draw_uniform01(), stream.draw_uniform01()
+            assert handed.uniforms(5).tolist() == stream.uniforms(5).tolist()
+            assert handed.draw_uniform01() == stream.draw_uniform01()
+
+    def test_blocks_continue_after_handed_draws(self):
+        handed, stream = self._handed(2**64 - 1), RandomSource.from_key(2**64 - 1)
+        handed.draw_uniform01(), stream.draw_uniform01()
+        blocks = [b.copy() for b in handed.uniform_blocks(7, 3)]
+        assert np.concatenate(blocks).tolist() == stream.uniforms(7).tolist()
+
+    def test_key_and_derive_unaffected(self):
+        for key in self.KEYS:
+            handed, stream = self._handed(key), RandomSource.from_key(key)
+            assert handed.key == stream.key == key
+            handed.draw_uniform01()
+            child, plain = handed.derive("x", 3), stream.derive("x", 3)
+            assert child.key == plain.key
+            assert child.uniforms(3).tolist() == plain.uniforms(3).tolist()
+
+    def test_other_sources_have_no_draws(self):
+        for source in (RandomSource(5), RandomSource.from_key(5), RandomSource(5).derive("a")):
+            assert source._given == ()
+
+
+def _unmix(z: int) -> int:
+    """Inverse of the SplitMix64 finalizer ``rng._mix``."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift((z * pow(_MIX2, -1, 1 << 64)) & _MASK, 27)
+    return unshift((z * pow(_MIX1, -1, 1 << 64)) & _MASK, 30)
+
+
+def test_top_draw_converts_exactly():
+    # a mixed state whose top 53 bits are all ones is the largest uniform
+    top = 1.0 - 2.0**-53
+    for low in (0, 2**11 - 1):
+        key = (_unmix(_MASK - low) - _GOLDEN) & _MASK  # the state of draw 1
+        assert RandomSource.from_key(key).draw_uniform01() == top
+        assert uniforms_at(key, 1).tolist() == [top]
+        assert next(RandomSource.from_key(key).uniform_blocks(1, 1)).tolist() == [top]
 
 
 def _frozen(a) -> np.ndarray:
